@@ -18,6 +18,7 @@ import gc
 import json
 import os
 import resource
+import signal
 import statistics
 import subprocess
 import sys
@@ -95,20 +96,23 @@ PER_LAYER = (
 )
 
 
-#: About the median host seconds :func:`reference_seconds` takes on
-#: the 2.1 GHz 2-vCPU VM the workloads were sized on.
-REFERENCE_HOST_S = 0.2
+#: Host seconds of one :func:`reference_seconds` slice at the
+#: reference speed: a round figure within the 10 to 27 ms the slice
+#: took on the 2.1 GHz 2-vCPU VM the workloads were sized on.
+REFERENCE_SLICE_S = 0.015
+
+#: Seconds of timed work between two reference slices.
+SAMPLE_PERIOD_S = 0.25
 
 
-def reference_seconds(processes: int = 64, steps: int = 1500) -> float:
-    """Host time of a fixed pure-Python event loop.
+def reference_seconds(processes: int = 16, steps: int = 500) -> float:
+    """Host time of a fixed pure-Python event loop: one reference slice.
 
     Generator processes exchange timeouts through a heap of small
     event objects, with dict and list traffic: the simulator's kind of
-    work, sharing none of its code.  Timed beside the workload, it
-    measures how fast the host runs Python at that moment; the
-    host-time metrics are scaled by it, because on a shared host that
-    speed drifts by up to a factor of two within minutes.
+    work, sharing none of its code.  :class:`HostClock` times slices
+    of it during a timed section to measure how fast the host runs
+    Python at that moment.
     """
     import heapq
 
@@ -150,20 +154,87 @@ def reference_seconds(processes: int = 64, steps: int = 1500) -> float:
     return time.perf_counter() - start
 
 
+class HostClock:
+    """Times a section in reference seconds, tracking host speed inside it.
+
+    On a shared host the speed at which Python runs changes by up to a
+    factor of two from one second to the next.  So a reference slice
+    runs when the section starts, when it ends and, from a ``SIGALRM``
+    interval timer, every ``period`` seconds in between.  Each
+    stretch of the section between two slices is divided by the mean
+    of those two slices' times and multiplied by
+    :data:`REFERENCE_SLICE_S`; :attr:`seconds` sums the stretches, so
+    it reads as seconds on a host running at the reference speed.
+    :attr:`raw_s` is the section's plain host time, slices left out.
+    The slices only spend host time: the simulation is not touched.
+    With ``period=None`` slices run at the ends only, for a section
+    that waits on a child process; with ``sample=False`` none run and
+    :attr:`raw_s` is the plain host time.
+    """
+
+    def __init__(self, sample: bool = True, period: float | None = SAMPLE_PERIOD_S) -> None:
+        self.sample = sample
+        self.period = period
+        self.seconds = 0.0
+        self.raw_s = 0.0
+        self.slices: list[float] = []
+        self._last: tuple[float, float] | None = None
+        self._busy = False
+
+    def _slice(self) -> None:
+        if self._busy:
+            return
+        self._busy = True
+        began = time.perf_counter()
+        took = reference_seconds()
+        if self._last is not None:
+            ended, before = self._last
+            stretch = began - ended
+            self.raw_s += stretch
+            self.seconds += stretch * REFERENCE_SLICE_S * 2 / (before + took)
+        self.slices.append(took)
+        self._last = (time.perf_counter(), took)
+        self._busy = False
+
+    def __enter__(self) -> "HostClock":
+        if not self.sample:
+            self._start = time.perf_counter()
+            return self
+        self._slice()
+        if self.period is not None:
+            self._handler = signal.signal(signal.SIGALRM, lambda _s, _f: self._slice())
+            signal.setitimer(signal.ITIMER_REAL, self.period, self.period)
+        return self
+
+    def __exit__(self, *_exc: object) -> None:
+        if not self.sample:
+            self.raw_s = time.perf_counter() - self._start
+            return
+        if self.period is not None:
+            signal.setitimer(signal.ITIMER_REAL, 0, 0)
+            signal.signal(signal.SIGALRM, self._handler)
+        self._slice()
+
+
 class Rep:
-    """One run of a workload: host timings, its result, failed checks."""
+    """One run of a workload: host timings, its result, failed checks.
+
+    Untraced, every host time is taken with a sampling
+    :class:`HostClock`; traced, with a plain one, so the profile and
+    the overhead figure see no reference slice.
+    """
 
     def __init__(self, workload: _t.Any, traced: bool) -> None:
         from layers import BusCounter, SpanTracer
 
-        self.reference_s = reference_seconds()
-        t0 = time.perf_counter()
-        workload.generate()
-        t1 = time.perf_counter()
-        cluster = workload.build()
-        t2 = time.perf_counter()
-        self.generate_s = t1 - t0
-        self.build_s = t2 - t1
+        self.seed = workload.seed
+        with HostClock(sample=not traced) as generate:
+            workload.generate()
+        with HostClock(sample=not traced) as build:
+            cluster = workload.build()
+        self.setup_s = generate.seconds + build.seconds
+        self.generate_s = generate.raw_s
+        self.build_s = build.raw_s
         self.tracer = self.bus = self.profile = None
         if traced:
             import cProfile
@@ -171,16 +242,17 @@ class Rep:
             self.bus = BusCounter(cluster.env)
             self.profile = cProfile.Profile()
             self.profile.enable()
-        t3 = time.perf_counter()
-        workload.warm()
-        if traced:
-            # Spans cover the measured phase only, like the counters.
-            self.tracer = SpanTracer(cluster)
-        workload.run()
-        t4 = time.perf_counter()
+        with HostClock(sample=not traced) as clock:
+            workload.warm()
+            if traced:
+                # Spans cover the measured phase only, like the counters.
+                self.tracer = SpanTracer(cluster)
+            workload.run()
         if self.profile is not None:
             self.profile.disable()
-        self.wall_s = t4 - t3
+        self.host_s = clock.seconds
+        self.wall_s = clock.raw_s
+        self.slices = clock.slices
         self.window = workload.window()
         self.result = workload.result()
         self.cluster = cluster
@@ -208,15 +280,15 @@ def _check(result: _t.Any) -> list[str]:
     return problems
 
 
-def import_seconds(runs: int = 5) -> float:
-    """Median host time for a fresh interpreter to start and import the
-    simulator and the benchmark."""
+def import_seconds(runs: int = 7) -> float:
+    """Median time, in reference seconds, for a fresh interpreter to
+    start and import the simulator and the benchmark."""
     code = f"import sys; sys.path[:0] = {[HERE, SRC]!r}; import workloads, layers"
     times = []
     for _ in range(runs):
-        start = time.perf_counter()
-        subprocess.run([sys.executable, "-c", code], check=True)
-        times.append(time.perf_counter() - start)
+        with HostClock(period=None) as clock:
+            subprocess.run([sys.executable, "-c", code], check=True)
+        times.append(clock.seconds)
     return statistics.median(times)
 
 
@@ -241,21 +313,28 @@ def _pooled(results: list[_t.Any]) -> tuple[dict[str, list[float]], int, int]:
     )
 
 
-def end_to_end(cls: _t.Any, first: list[Rep], runs: list[Rep]) -> dict[str, float]:
+def end_to_end(
+    cls: _t.Any, seeds: list[int], first: list[Rep], runs: list[Rep]
+) -> dict[str, float]:
     """The end-to-end metrics: simulated ones pooled over the
-    workload's sub-runs, host times as medians over every run, scaled
-    to the reference host speed."""
+    workload's sub-runs; host times in reference seconds, as the mean
+    over the sub-runs of each sub-run's median over its executions."""
     from layers import percentile
 
     results = [r.result for r in first]
     latencies, _defined, completed = _pooled(results)
     primary = latencies[cls.primary_op]
     makespans = [r.makespan_s for r in results]
-    speed = REFERENCE_HOST_S / statistics.median(r.reference_s for r in runs)
-    setup = import_seconds() + statistics.median(r.generate_s + r.build_s for r in runs)
+
+    def per_subrun(value: _t.Callable[[Rep], float]) -> float:
+        by_seed: dict[int, list[float]] = {}
+        for rep in runs:
+            by_seed.setdefault(rep.seed, []).append(value(rep))
+        return statistics.fmean(statistics.median(by_seed[s]) for s in seeds)
+
     return {
-        "wall_s": statistics.median(r.wall_s for r in runs) * speed,
-        "setup_s": setup * speed,
+        "wall_s": per_subrun(lambda r: r.host_s),
+        "setup_s": import_seconds() + per_subrun(lambda r: r.setup_s),
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
         "makespan_s": statistics.fmean(makespans),
         "completed_ops_per_s": completed / sum(makespans),
@@ -401,7 +480,7 @@ def measure(
             what = "traced run" if rep.tracer is not None else "repeat"
             problems.append(f"{what} of seed {seeds[k]} differs in simulated results")
     if not trace:
-        values = end_to_end(cls, first, runs)
+        values = end_to_end(cls, seeds, first, runs)
     units = dict(PER_LAYER if trace else END_TO_END)
     return {
         "correct": not problems,
@@ -429,9 +508,10 @@ def _report(name: str, seed: int, out: dict[str, _t.Any], trace: bool) -> None:
         for key, value, unit, n in by_op([r.result for r in out["_first"]]):
             print(f"  {key:40s} {value:>16.6g} {unit}  (n={n})")
         runs = out["_runs"]
-        print(f"  host speed: reference loop {statistics.median(r.reference_s for r in runs):.4f} s "
-              f"(scaled to {REFERENCE_HOST_S} s); unscaled median wall "
-              f"{statistics.median(r.wall_s for r in runs):.4f} s")
+        slices = [t for r in runs for t in r.slices]
+        print(f"  host speed: median reference slice {statistics.median(slices) * 1e3:.2f} ms "
+              f"over {len(slices)} slices (reference {REFERENCE_SLICE_S * 1e3:g} ms); "
+              f"median host time per sub-run {statistics.median(r.wall_s for r in runs):.4f} s")
     else:
         traced = out["_runs"][-1]
         print("  simulated-time spans (traced run):")

@@ -90,6 +90,23 @@ def test_traced_run_reproduces_the_untraced_one(outcomes):
         assert {r.result.fingerprint() for r in runs} == {runs[0].result.fingerprint()}
 
 
+def test_host_clock_samples_inside_the_section_and_leaves_slices_out():
+    import signal
+    import time
+
+    before = signal.getsignal(signal.SIGALRM)
+    start = time.perf_counter()
+    with run.HostClock() as clock:
+        while time.perf_counter() - start < 3 * run.SAMPLE_PERIOD_S:
+            pass
+    elapsed = time.perf_counter() - start
+    assert signal.getsignal(signal.SIGALRM) is before
+    assert len(clock.slices) >= 4  # both ends and at least two ticks
+    assert clock.raw_s == pytest.approx(elapsed - sum(clock.slices), abs=0.01)
+    speed = run.REFERENCE_SLICE_S / (sum(clock.slices) / len(clock.slices))
+    assert clock.seconds == pytest.approx(clock.raw_s * speed, rel=0.5)
+
+
 def test_seed_gives_the_same_inputs_and_another_seed_others():
     def makespans(seed):
         out = run.measure("openloop_mix", seed, 0.0, False, scale=0.02)

@@ -318,7 +318,7 @@ class OpenLoopMix(Workload):
     nodes = 16
     rate_ops_s = 700.0
     duration_s = 16.0
-    subruns = 6
+    subruns = 5
 
     def config(self) -> ClusterConfig:
         return ClusterConfig(
