@@ -62,6 +62,15 @@ the perf trajectory is visible across PRs:
   too: the 4-worker replay must run ``SHARD_WALLCLOCK_FLOOR``x faster
   than the serial one.
 
+* ``clock_sweep_rings_per_call`` — ring lengths the CLOCK sweep walks
+  per ``select_victims`` call on a write-pressure microbench (two
+  64 KB writer instances on 4 nodes, a quarter of their writes
+  ``sync_write``), from the policy's ``blocks_examined`` and
+  ``ring_blocks`` counters.  Deterministic, hence exactly
+  host-independent, and gated live: it must stay at or below
+  ``CLOCK_SWEEP_RINGS_CEILING``.  A sweep that re-walks the ring on
+  its second revolution scores ~1.9 here; the one-walk sweep ~1.0.
+
 If the baseline file is missing — or ``REPRO_BENCH_UPDATE=1`` is set —
 the current numbers are written as the new baseline and the test is
 skipped.  Otherwise the test fails when either metric regresses by
@@ -153,6 +162,14 @@ MGR_SHARD_SPEEDUP_FLOOR = 2.0
 #: Only checked when ``os.cpu_count() >= 4`` — on fewer cores the
 #: workers time-slice one CPU and the barrier pipes are pure overhead.
 SHARD_WALLCLOCK_FLOOR = 2.0
+
+#: The CLOCK sweep may walk at most this many ring lengths per
+#: ``select_victims`` call on the write-pressure microbench.  Block
+#: counts are deterministic, so the ratio is exactly host-independent;
+#: observed ~0.99 (one walk, stopping early when filled), against
+#: ~1.94 for the two-revolution sweep, which re-walks the ring of
+#: dirty fallback blocks.
+CLOCK_SWEEP_RINGS_CEILING = 1.25
 
 
 def _measure_events_per_sec(n_events: int = 200_000, rounds: int = 3) -> float:
@@ -517,6 +534,46 @@ def _measure_openloop_knee() -> tuple[float, float]:
     return knee_s, four["completed_ops_per_s"] / one["completed_ops_per_s"]
 
 
+def _measure_clock_sweep_rings_per_call() -> float:
+    """Ring lengths walked per CLOCK sweep under write pressure.
+
+    Two writer instances share 4 nodes with 64 KB requests, a quarter
+    of them ``sync_write``: the harvester sweeps rings that are nearly
+    all DIRTY, so every call collects dirty fallback blocks.  Returns
+    blocks examined over ring lengths at call, summed over all nodes'
+    policies; both counts are deterministic.
+    """
+    from repro.cluster.config import ClusterConfig
+    from repro.workload import MicroBenchParams, run_instances
+
+    config = ClusterConfig(compute_nodes=4, iod_nodes=4)
+    outcome = run_instances(
+        config,
+        [
+            MicroBenchParams(
+                nodes=config.compute_node_names(),
+                request_size=65536,
+                iterations=50,
+                mode="write",
+                sharing=0.5,
+                instance=i,
+                partition_bytes=4 * 2**20,
+                sync_fraction=0.25,
+                seed=7,
+            )
+            for i in range(2)
+        ],
+    )
+    policies = [
+        module.manager.policy
+        for module in outcome.cluster.cache_modules.values()
+    ]
+    examined = sum(p.blocks_examined for p in policies)
+    ring_blocks = sum(p.ring_blocks for p in policies)
+    assert ring_blocks > 0, "write-pressure microbench never swept"
+    return examined / ring_blocks
+
+
 def test_engine_regression(monkeypatch):
     monkeypatch.setenv(WORKERS_ENV_VAR, "1")  # comparable across hosts
     monkeypatch.delenv(NET_MODEL_ENV_VAR, raising=False)
@@ -535,6 +592,7 @@ def test_engine_regression(monkeypatch):
     replay_s, replay_events, source_events = _measure_trace_replay()
     shard_serial_s, shard_4w_s, shard_split = _measure_shard_replay()
     knee_s, mgr_speedup = _measure_openloop_knee()
+    sweep_rings = _measure_clock_sweep_rings_per_call()
     fig4_frames = _measure_fig4_quick_sweep_s()
     monkeypatch.setenv(NET_MODEL_ENV_VAR, "fluid")
     fig4_fluid = _measure_fig4_quick_sweep_s()
@@ -560,6 +618,7 @@ def test_engine_regression(monkeypatch):
         "shard_replay_4w_s": round(shard_4w_s, 4),
         "openloop_knee_256_s": round(knee_s, 3),
         "mgr_shard_speedup": round(mgr_speedup, 3),
+        "clock_sweep_rings_per_call": round(sweep_rings, 3),
     }
     # Host-independent gate: replaying a recorded run drives the same
     # client calls the generator did, so it must not inflate the event
@@ -621,6 +680,13 @@ def test_engine_regression(monkeypatch):
         f"4 mgr shards only completed {mgr_speedup:.2f}x the single "
         f"mgr's ops/s at the 256-node open-loop knee "
         f"(floor {MGR_SHARD_SPEEDUP_FLOOR}x)"
+    )
+    # Host-independent gate: one CLOCK sweep walks the ring once; only
+    # blocks whose reference bit it cleared are visited a second time.
+    assert sweep_rings <= CLOCK_SWEEP_RINGS_CEILING, (
+        f"CLOCK sweep walked {sweep_rings:.2f} ring lengths per call "
+        f"on the write-pressure microbench (ceiling "
+        f"{CLOCK_SWEEP_RINGS_CEILING})"
     )
     if (os.cpu_count() or 1) >= 4:
         shard_speedup = shard_serial_s / shard_4w_s

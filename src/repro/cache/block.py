@@ -55,7 +55,6 @@ class CacheBlock:
         "dirty_epoch",
         "ready_event",
         "doomed",
-        "sweep_mark",
     )
 
     def __init__(self, index: int, block_size: int) -> None:
@@ -79,9 +78,6 @@ class CacheBlock:
         #: Invalidated while pinned: dropped as soon as the last pin
         #: releases (deferred coherence eviction).
         self.doomed = False
-        #: Clock-sweep generation that last handled this block; lets
-        #: the policy skip already-selected blocks without id() sets.
-        self.sweep_mark = 0
 
     # -- state transitions ---------------------------------------------------
     def assign(self, key: BlockKey, ready_event: "Event") -> None:

@@ -40,9 +40,11 @@ class ClockPolicy(ReplacementPolicy):
     def __init__(self) -> None:
         self._ring: list[CacheBlock] = []
         self._hand = 0
-        #: Bumped per sweep; blocks stamped with the current generation
-        #: have already been picked (victim or dirty fallback).
-        self._sweep_gen = 0
+        #: Blocks the sweeps walked, and the ring length each sweep
+        #: started with, summed over calls (their ratio is the cost of
+        #: a sweep in ring lengths).
+        self.blocks_examined = 0
+        self.ring_blocks = 0
 
     def touch(self, block: CacheBlock) -> None:
         """Set the reference bit (O(1) hot path; ring membership is
@@ -75,77 +77,55 @@ class ClockPolicy(ReplacementPolicy):
 
         With ``prefer_clean``, dirty blocks get an extra pass of grace:
         they are only chosen once no clean candidate remains.
+
+        One walk of the ring stands in for the classic two
+        revolutions (DESIGN.md §8): the second revolution could only
+        pick blocks whose reference bit the first one cleared, so it
+        walks just those, in ring order.  The hand ends where the
+        two-revolution sweep would have left it.
         """
         if n <= 0 or not self._ring:
             return []
-        victims: list[CacheBlock] = []
-        dirty_fallback: list[CacheBlock] = []
-        # Two full sweeps: the first clears reference bits, the second
-        # collects whatever is evictable.  If a whole revolution makes
-        # no progress at all (everything pinned / pending / already in
-        # flight), stop early — a longer sweep cannot help.
-        #
-        # This loop dominates harvester cost on cache-pressure
-        # workloads, so it iterates a hand-rotated list copy (C-speed
-        # iteration, no per-step index/wrap arithmetic) on local
-        # variables.  Instead of id() sets, already-picked blocks carry
-        # the sweep generation in their ``sweep_mark`` — nothing can
-        # touch a block mid-sweep (the sweep is synchronous), so victim
-        # and fallback sets are disjoint and one stamp covers both.
-        # The fallback list only ever yields its first ``n`` entries,
-        # so appends stop there; later dirty candidates still get
-        # marked and counted as revolution progress, exactly as if they
-        # had been collected.
-        self._sweep_gen += 1
-        gen = self._sweep_gen
         ring = self._ring
         hand = self._hand
         ring_len = len(ring)
         rotated = ring[hand:] + ring[:hand]
-        processed = 0
-        n_picked = 0
-        n_fallback = 0
+        self.ring_blocks += ring_len
+        victims: list[CacheBlock] = []
+        dirty_fallback: list[CacheBlock] = []
+        cleared: list[int] = []
         clean = BlockState.CLEAN
         dirty = BlockState.DIRTY
-        pick_append = victims.append
-        fallback_append = dirty_fallback.append
-        filled = False
-        for _revolution in (0, 1):
-            useful_in_revolution = 0
-            for block in rotated:
-                processed += 1
-                state = block.state
-                if block.pins or (state is not clean and state is not dirty):
-                    continue
-                if block.refbit:
-                    block.refbit = False  # second chance
-                    useful_in_revolution += 1
-                    continue
-                if block.sweep_mark == gen:
-                    continue
-                block.sweep_mark = gen
-                if prefer_clean and state is dirty:
-                    useful_in_revolution += 1
-                    n_fallback += 1
-                    if n_fallback <= n:
-                        fallback_append(block)
-                    continue
-                pick_append(block)
-                n_picked += 1
-                useful_in_revolution += 1
-                if n_picked >= n:
-                    filled = True
-                    break
-            if filled or useful_in_revolution == 0:
-                break
-        self._hand = (hand + processed) % ring_len
-        # Every fallback block was unpinned CLEAN/DIRTY when marked and
-        # the sweep is synchronous, so all of them are still evictable.
-        for block in dirty_fallback:
-            if n_picked >= n:
-                break
-            victims.append(block)
-            n_picked += 1
+        pick = victims.append
+        for pos, block in enumerate(rotated):
+            state = block.state
+            if block.pins or (state is not clean and state is not dirty):
+                continue
+            if block.refbit:
+                block.refbit = False  # second chance
+                cleared.append(pos)
+            elif prefer_clean and state is dirty:
+                dirty_fallback.append(block)
+            else:
+                pick(block)
+                if len(victims) >= n:
+                    self.blocks_examined += pos + 1
+                    self._hand = (hand + pos + 1) % ring_len
+                    return victims
+        for i, pos in enumerate(cleared):
+            block = rotated[pos]
+            if prefer_clean and block.state is dirty:
+                dirty_fallback.append(block)
+                continue
+            pick(block)
+            if len(victims) >= n:
+                self.blocks_examined += ring_len + i + 1
+                self._hand = (hand + pos + 1) % ring_len
+                return victims
+        # Unfilled: the hand went all the way round (once when nothing
+        # was eligible, twice otherwise) and is back where it started.
+        self.blocks_examined += ring_len + len(cleared)
+        victims += dirty_fallback[: n - len(victims)]
         return victims
 
     def __len__(self) -> int:

@@ -1,6 +1,8 @@
 """Unit tests for the clock (approximate LRU) and exact-LRU policies."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cache.block import BlockState, CacheBlock
 from repro.cache.clock import ClockPolicy, ExactLRUPolicy
@@ -179,3 +181,195 @@ def test_exact_lru_victims_in_lru_order():
     for b in blocks:
         p.admit(b)
     assert p.select_victims(5) == blocks
+
+
+# -- differential test against the two-revolution sweep ----------------------
+
+
+def _reference_select_victims(
+    policy: ClockPolicy, n: int, prefer_clean: bool = True
+) -> list[CacheBlock]:
+    """The classic two-revolution sweep, kept as the oracle.
+
+    This is the sweep ``ClockPolicy.select_victims`` replaced, line for
+    line, except that already-picked blocks go into a local set instead
+    of carrying a per-sweep generation stamp.
+    """
+    if n <= 0 or not policy._ring:
+        return []
+    victims: list[CacheBlock] = []
+    dirty_fallback: list[CacheBlock] = []
+    marked: set[CacheBlock] = set()
+    ring = policy._ring
+    hand = policy._hand
+    ring_len = len(ring)
+    rotated = ring[hand:] + ring[:hand]
+    processed = 0
+    n_picked = 0
+    n_fallback = 0
+    clean = BlockState.CLEAN
+    dirty = BlockState.DIRTY
+    pick_append = victims.append
+    fallback_append = dirty_fallback.append
+    filled = False
+    for _revolution in (0, 1):
+        useful_in_revolution = 0
+        for block in rotated:
+            processed += 1
+            state = block.state
+            if block.pins or (state is not clean and state is not dirty):
+                continue
+            if block.refbit:
+                block.refbit = False  # second chance
+                useful_in_revolution += 1
+                continue
+            if block in marked:
+                continue
+            marked.add(block)
+            if prefer_clean and state is dirty:
+                useful_in_revolution += 1
+                n_fallback += 1
+                if n_fallback <= n:
+                    fallback_append(block)
+                continue
+            pick_append(block)
+            n_picked += 1
+            useful_in_revolution += 1
+            if n_picked >= n:
+                filled = True
+                break
+        if filled or useful_in_revolution == 0:
+            break
+    policy._hand = (hand + processed) % ring_len
+    for block in dirty_fallback:
+        if n_picked >= n:
+            break
+        victims.append(block)
+        n_picked += 1
+    return victims
+
+
+_STATES = (BlockState.PENDING, BlockState.CLEAN, BlockState.DIRTY)
+
+_block_spec = st.tuples(
+    st.sampled_from(_STATES), st.booleans(), st.booleans()
+)  # (state, pinned, refbit)
+
+_op = st.one_of(
+    st.tuples(
+        st.just("select"), st.integers(0, 10_000), st.booleans()
+    ),
+    st.tuples(st.just("admit"), _block_spec),
+    st.tuples(st.just("forget"), st.integers(0, 10_000)),
+    st.tuples(st.just("touch"), st.integers(0, 10_000)),
+    st.tuples(st.just("pin"), st.integers(0, 10_000)),
+    st.tuples(
+        st.just("state"), st.integers(0, 10_000), st.sampled_from(_STATES)
+    ),
+)
+
+
+class _Twins:
+    """Two clock policies over mirrored blocks: the sweep under test
+    drives ``new``, the oracle drives ``ref``."""
+
+    def __init__(self) -> None:
+        self.new = ClockPolicy()
+        self.ref = ClockPolicy()
+        #: Each block under ``new`` -> its mirror under ``ref``.
+        self.twin: dict[CacheBlock, CacheBlock] = {}
+
+    def admit(self, spec) -> None:
+        state, pinned, refbit = spec
+        a, b = (CacheBlock(len(self.twin), 4096) for _ in range(2))
+        for policy, block in ((self.new, a), (self.ref, b)):
+            block.key = (1, block.index)
+            block.state = state
+            block.pins = int(pinned)
+            policy.admit(block)
+            block.refbit = refbit
+        self.twin[a] = b
+
+    def pair(self, raw: int):
+        a = self.new._ring[raw % len(self.new._ring)]
+        return a, self.twin[a]
+
+    def apply(self, op) -> None:
+        kind = op[0]
+        if kind == "admit":
+            self.admit(op[1])
+            return
+        if kind == "select":
+            self.select(op[1] % (len(self.new) + 3), op[2])
+            return
+        if not self.new._ring:
+            return
+        a, b = self.pair(op[1])
+        if kind == "forget":
+            self.new.forget(a)
+            self.ref.forget(b)
+        elif kind == "touch":
+            self.new.touch(a)
+            self.ref.touch(b)
+        elif kind == "pin":
+            a.pins = b.pins = 1 - a.pins
+        else:
+            a.state = b.state = op[2]
+
+    def select(self, n: int, prefer_clean: bool) -> None:
+        got = self.new.select_victims(n, prefer_clean=prefer_clean)
+        want = _reference_select_victims(self.ref, n, prefer_clean)
+        assert len(got) == len(want)
+        assert all(self.twin[a] is b for a, b in zip(got, want))
+        assert self.new._hand == self.ref._hand
+        assert all(a.refbit == b.refbit for a, b in self.twin.items())
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    ring=st.lists(_block_spec, max_size=40),
+    hand=st.integers(0, 10_000),
+    calls=st.lists(
+        st.tuples(st.integers(0, 10_000), st.booleans()), min_size=1, max_size=4
+    ),
+)
+def test_clock_sweep_matches_reference_on_random_rings(ring, hand, calls):
+    twins = _Twins()
+    for spec in ring:
+        twins.admit(spec)
+    if ring:
+        twins.new._hand = twins.ref._hand = hand % len(ring)
+    for n_raw, prefer_clean in calls:
+        twins.select(n_raw % (len(ring) + 3), prefer_clean)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    ring=st.lists(_block_spec, max_size=24),
+    ops=st.lists(_op, max_size=40),
+)
+def test_clock_sweep_matches_reference_under_interleaved_ops(ring, ops):
+    twins = _Twins()
+    for spec in ring:
+        twins.admit(spec)
+    for op in ops:
+        twins.apply(op)
+    twins.select(len(twins.new) + 2, True)
+    twins.select(len(twins.new) + 2, False)
+
+
+def test_clock_sweep_walks_the_ring_once_when_dirty_blocks_fall_back():
+    env = Environment()
+    p = ClockPolicy()
+    blocks = [_dirty_block(env, i) for i in range(10)]
+    for b in blocks:
+        p.admit(b)
+        b.refbit = False
+    blocks[3].refbit = True
+    # fallback order is the order the sweeps reached the blocks: the
+    # referenced block only qualifies on the second pass
+    assert p.select_victims(4) == [blocks[i] for i in (0, 1, 2, 4)]
+    # revolution 1 walks 10 blocks, "revolution 2" only the one it
+    # cleared; the two-revolution sweep walked 20
+    assert (p.blocks_examined, p.ring_blocks) == (11, 10)
+    assert p._hand == 0
