@@ -91,13 +91,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.cluster.config import (
-    DISK_MODEL_ENV_VAR,
-    ENGINE_MACRO_ENV_VAR,
-    ENGINE_SHARDS_ENV_VAR,
-    NET_MODEL_ENV_VAR,
-    SHARD_BACKEND_ENV_VAR,
-)
+from repro.cluster.config import SEAMS
 from repro.experiments.parallel import WORKERS_ENV_VAR
 from repro.sim import Environment
 
@@ -576,11 +570,8 @@ def _measure_clock_sweep_rings_per_call() -> float:
 
 def test_engine_regression(monkeypatch):
     monkeypatch.setenv(WORKERS_ENV_VAR, "1")  # comparable across hosts
-    monkeypatch.delenv(NET_MODEL_ENV_VAR, raising=False)
-    monkeypatch.delenv(DISK_MODEL_ENV_VAR, raising=False)
-    monkeypatch.delenv(ENGINE_MACRO_ENV_VAR, raising=False)
-    monkeypatch.delenv(ENGINE_SHARDS_ENV_VAR, raising=False)
-    monkeypatch.delenv(SHARD_BACKEND_ENV_VAR, raising=False)
+    for seam in SEAMS:  # every point runs on the validated defaults
+        monkeypatch.delenv(seam.env, raising=False)
     wire_frames = _measure_fig4_wire_sweep_s("frames")
     wire_fluid = _measure_fig4_wire_sweep_s("fluid")
     disk_mech = _measure_disk_replay_s("mech")
@@ -594,12 +585,12 @@ def test_engine_regression(monkeypatch):
     knee_s, mgr_speedup = _measure_openloop_knee()
     sweep_rings = _measure_clock_sweep_rings_per_call()
     fig4_frames = _measure_fig4_quick_sweep_s()
-    monkeypatch.setenv(NET_MODEL_ENV_VAR, "fluid")
+    monkeypatch.setenv("REPRO_NET_MODEL", "fluid")
     fig4_fluid = _measure_fig4_quick_sweep_s()
-    monkeypatch.delenv(NET_MODEL_ENV_VAR, raising=False)
-    monkeypatch.setenv(ENGINE_MACRO_ENV_VAR, "1")
+    monkeypatch.delenv("REPRO_NET_MODEL")
+    monkeypatch.setenv("REPRO_ENGINE_MACRO", "1")
     fig4_macro = _measure_fig4_quick_sweep_s()
-    monkeypatch.delenv(ENGINE_MACRO_ENV_VAR, raising=False)
+    monkeypatch.delenv("REPRO_ENGINE_MACRO")
     current = {
         "events_per_sec": round(_measure_events_per_sec(), 1),
         "fig4_quick_sweep_s": round(fig4_frames, 3),

@@ -15,9 +15,9 @@ Run:  python examples/cache_sizing.py
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.config import CacheConfig, ClusterConfig
+from repro.workload import TraceRecorder, TraceReplayer
 from repro.workload.analysis import analyze_trace
 from repro.workload.apps import AssociationMiningScan, ArchiveMaintainer, run_app_mix
-from repro.workload.trace import TraceRecorder, TraceReplayer
 
 CANDIDATE_BLOCKS = [32, 75, 150, 300, 600]  # 128 KB .. 2.4 MB
 

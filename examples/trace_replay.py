@@ -17,7 +17,8 @@ Run:  python examples/trace_replay.py
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.config import CacheConfig, ClusterConfig
-from repro.workload.trace import TraceRecorder, TraceReplayer, loads
+from repro.workload import TraceRecorder, TraceReplayer
+from repro.workload.trace import loads
 from repro.workload.transform import scale_out
 
 STEP = 32 * 1024

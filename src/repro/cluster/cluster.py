@@ -43,7 +43,9 @@ class Cluster:
         shard_plan: "_t.Any | None" = None,
         shard_id: int = 0,
     ) -> None:
-        self.config = config if config is not None else ClusterConfig()
+        #: Resolved once here, so every seam is a plain field downstream
+        #: and a mid-run env-var change cannot split the cluster.
+        self.config = (config or ClusterConfig()).resolved()
         self.env = env if env is not None else Environment()
         self.metrics = Metrics()
         #: Parallel-engine partition this cluster is one shard of
@@ -57,11 +59,7 @@ class Cluster:
         # ``costs.fabric`` picks the topology (hub vs switch);
         # ``net_model`` picks how contention on it is simulated
         # (frame-by-frame vs analytic fluid sharing, DESIGN.md §12).
-        self.net_model = self.config.resolved_net_model
-        # Resolved once here (not per node) so a mid-run env-var change
-        # cannot split a cluster across disk models.
-        self.disk_model = self.config.resolved_disk_model
-        if self.net_model == "fluid":
+        if self.config.net_model == "fluid":
             fabric = FluidFabric(
                 self.env,
                 mode=costs.fabric,
@@ -83,9 +81,7 @@ class Cluster:
 
         compute_names = self.config.compute_node_names()
         iod_names = self.config.iod_node_names()
-        #: How many hash-partitioned metadata shards run (DESIGN.md
-        #: §18).  Resolved once, like the net/disk models.
-        self.mgr_shards = self.config.resolved_mgr_shards
+        mgr_shards: int = self.config.mgr_shards  # resolved: never None
         #: Where each mgr shard lives: shard ``k`` on iod node
         #: ``k % n_iods`` (round-robin over the same order
         #: ``plan_shards`` partitions nodes, so a shard's mgr stays
@@ -97,7 +93,7 @@ class Cluster:
                 iod_names[k % len(iod_names)],
                 self.config.MGR_PORT + k // len(iod_names),
             )
-            for k in range(self.mgr_shards)
+            for k in range(mgr_shards)
         ]
         #: Shard 0's node name, derivable without the Node object —
         #: in a sharded build the mgr may live in another shard.
@@ -156,7 +152,7 @@ class Cluster:
                 metrics=self.metrics,
                 port=mgr_port,
                 shard_index=k,
-                n_shards=self.mgr_shards,
+                n_shards=mgr_shards,
             )
             server.start()
             self.mgr_servers.append(server)
@@ -175,15 +171,12 @@ class Cluster:
                 port=self.config.IOD_PORT,
                 flush_port=self.config.FLUSH_PORT,
                 invalidate_port=self.INVALIDATE_PORT,
-                mgr_shards=self.mgr_shards,
+                mgr_shards=mgr_shards,
             )
             iod.start()
             self.iods.append(iod)
 
         self.cache_modules: dict[str, CacheModule] = {}
-        # Resolved once, like the net/disk models: the macro-event fast
-        # path is a per-cluster decision (DESIGN.md §14).
-        self.engine_macro = self.config.resolved_engine_macro
         if self.config.caching:
             gcache_directory = None
             if self.config.cache.global_cache:
@@ -202,7 +195,7 @@ class Cluster:
                     iod_port=self.config.IOD_PORT,
                     flush_port=self.config.FLUSH_PORT,
                     invalidate_port=self.INVALIDATE_PORT,
-                    engine_macro=self.engine_macro,
+                    engine_macro=bool(self.config.engine_macro),
                 )
                 if gcache_directory is not None:
                     from repro.cache.global_cache import GlobalCacheClient

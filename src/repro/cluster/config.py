@@ -12,74 +12,147 @@ benchmarks.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import os
+import typing as _t
 
-#: Environment variable selecting the default network model for
-#: clusters whose config leaves ``net_model`` unset (``frames`` or
-#: ``fluid``).  Lets ``python -m repro.experiments --net-model fluid``
-#: reach every cluster built inside parallel sweep workers.
-NET_MODEL_ENV_VAR = "REPRO_NET_MODEL"
 
-#: Recognised network models: ``frames`` simulates every frame on the
-#: wire (the validated default), ``fluid`` shares bandwidth
-#: analytically and only generates events on flow churn.
-NET_MODELS = ("frames", "fluid")
+@dataclasses.dataclass(frozen=True)
+class Seam:
+    """One model/engine seam: a :class:`ClusterConfig` field whose
+    alternatives are checked against a validated reference (the oracle).
 
-#: Environment variable selecting the default disk model for clusters
-#: whose config leaves ``disk_model`` unset (``mech`` or ``queued``).
-#: Like ``REPRO_NET_MODEL``, this is how ``--disk-model`` reaches
-#: clusters built inside parallel sweep workers.
-DISK_MODEL_ENV_VAR = "REPRO_DISK_MODEL"
+    A seam field left ``None`` defers: :meth:`ClusterConfig.resolved`
+    fills it from the environment variable ``env`` when that is set and
+    non-empty, else from ``default``.  The environment is how a CLI
+    flag reaches clusters built inside parallel sweep workers.
+    """
 
-#: Recognised disk models: ``mech`` simulates each request against a
-#: capacity-1 spindle Resource (the validated default), ``queued``
-#: computes batch service times against an analytic FIFO queue
-#: (DESIGN.md §13).
-DISK_MODELS = ("mech", "queued")
+    #: The ``ClusterConfig`` field.
+    name: str
+    #: Environment variable consulted when the field is ``None``.
+    env: str
+    #: ``str``; ``int`` (a count, >= 1); or ``bool`` (env ``"0"``/``"1"``).
+    type: type
+    #: Values a ``str`` seam accepts; empty means any non-empty string.
+    choices: tuple[str, ...]
+    default: _t.Any
+    #: The validated reference, and the tests holding the seam to it.
+    oracle: str
+    #: Flag of ``python -m repro.experiments``, or ``None`` for none.
+    flag: str | None = None
+    help: str = ""
+    metavar: str | None = None
 
-#: Environment variable enabling the cache module's macro-event fast
-#: path for clusters whose config leaves ``engine_macro`` unset
-#: (DESIGN.md §14): fully-resident read bursts are serviced under one
-#: scheduled event instead of one generator round-trip per block.
-#: Any value other than ``""``/``"0"`` enables it; like
-#: ``REPRO_NET_MODEL`` this is how ``--engine-macro`` reaches clusters
-#: built inside parallel sweep workers.
-ENGINE_MACRO_ENV_VAR = "REPRO_ENGINE_MACRO"
+    def check(self, value: _t.Any, source: str) -> None:
+        """Raise ``ValueError`` naming ``source`` unless ``value`` is
+        a valid setting of this seam."""
+        if self.type is bool:
+            ok, expects = isinstance(value, bool), "a bool"
+        elif self.type is int:
+            ok = type(value) is int and value >= 1
+            expects = "an integer >= 1"
+        elif self.choices:
+            ok, expects = value in self.choices, f"one of {self.choices}"
+        else:
+            ok = isinstance(value, str) and value != ""
+            expects = "a non-empty string"
+        if not ok:
+            raise ValueError(f"{source}={value!r} is not {expects}")
 
-#: Environment variable naming a workload trace file (JSONL or CSV
-#: dialect) to replay *instead of* the synthetic micro-benchmark, for
-#: configs whose ``trace_source`` is unset.  Like ``REPRO_NET_MODEL``,
-#: this is how ``--trace`` reaches every ``run_instances`` call,
-#: including inside parallel sweep workers — so the fig4-8 drivers can
-#: all be pointed at one recorded workload.
-TRACE_ENV_VAR = "REPRO_TRACE"
+    def from_env(self) -> _t.Any:
+        """The value ``env`` selects, or ``None`` when unset or empty."""
+        raw = os.environ.get(self.env, "")
+        if not raw:
+            return None
+        if self.type is bool:
+            if raw not in ("0", "1"):
+                raise ValueError(f"{self.env}={raw!r} is not '', '0' or '1'")
+            return raw == "1"
+        value: _t.Any = raw
+        if self.type is int:
+            with contextlib.suppress(ValueError):  # check() reports it
+                value = int(raw)
+        self.check(value, self.env)
+        return value
 
-#: Environment variable selecting how many shards the conservative
-#: parallel engine (DESIGN.md §17) splits a replay across, for configs
-#: whose ``engine_shards`` is unset.  ``1`` (or unset) runs the
-#: ordinary serial engine; like ``REPRO_NET_MODEL``, this is how
-#: ``--engine-shards`` reaches clusters built inside parallel sweep
-#: workers.
-ENGINE_SHARDS_ENV_VAR = "REPRO_ENGINE_SHARDS"
+    def resolve(self, value: _t.Any) -> _t.Any:
+        """An explicit ``value`` wins, then ``env``, then ``default``."""
+        if value is None:
+            value = self.from_env()
+        return self.default if value is None else value
 
-#: Environment variable selecting the shard execution backend for
-#: configs whose ``shard_backend`` is unset: ``process`` (one worker
-#: process per shard, the default) or ``inline`` (every shard
-#: environment in this process — for tests, CI runners, and
-#: free-threaded builds).
-SHARD_BACKEND_ENV_VAR = "REPRO_ENGINE_SHARD_BACKEND"
 
-#: Recognised shard execution backends.
-SHARD_BACKENDS = ("process", "inline")
-
-#: Environment variable selecting how many hash-partitioned metadata
-#: server shards a cluster runs, for configs whose ``mgr_shards`` is
-#: unset.  ``1`` (or unset) keeps the paper's single mgr — and the
-#: schedule bit-identical to it; like ``REPRO_NET_MODEL``, this is
-#: how ``--mgr-shards`` reaches clusters built inside parallel sweep
-#: workers.
-MGR_SHARDS_ENV_VAR = "REPRO_MGR_SHARDS"
+#: Every model/engine seam, in CLI order (README "Seams").
+SEAMS: tuple[Seam, ...] = (
+    Seam(
+        "net_model", "REPRO_NET_MODEL", str, ("frames", "fluid"), "frames",
+        oracle="frames: every frame on the wire (tests/test_net_fluid.py)",
+        flag="--net-model",
+        help=(
+            "network contention model: 'frames' (validated default) or "
+            "'fluid' (analytic bandwidth sharing, much faster sweeps)"
+        ),
+    ),
+    Seam(
+        "disk_model", "REPRO_DISK_MODEL", str, ("mech", "queued"), "mech",
+        oracle="mech: per-request spindle (tests/test_disk_queued.py)",
+        flag="--disk-model",
+        help=(
+            "disk service model: 'mech' (per-request spindle "
+            "simulation, validated default) or 'queued' (analytic FIFO "
+            "batch service, much faster disk-bound sweeps)"
+        ),
+    ),
+    Seam(
+        "engine_macro", "REPRO_ENGINE_MACRO", bool, (), False,
+        oracle="off: the event-level schedule (tests/test_engine_macro.py)",
+        flag="--engine-macro",
+        help=(
+            "coalesce fully-resident cache-hit read bursts into one "
+            "scheduled event each (DESIGN.md §14); off preserves the "
+            "validated event-level schedule bit-for-bit"
+        ),
+    ),
+    Seam(
+        "engine_shards", "REPRO_ENGINE_SHARDS", int, (), 1,
+        oracle="1: the serial engine (tests/test_engine_shards.py)",
+        flag="--engine-shards", metavar="N",
+        help=(
+            "split each trace replay across N conservative parallel "
+            "engine shards (DESIGN.md §17); only replayed runs "
+            "(--trace / REPRO_TRACE) honor shards > 1"
+        ),
+    ),
+    Seam(
+        "shard_backend", "REPRO_ENGINE_SHARD_BACKEND", str,
+        ("process", "inline"), "process",
+        oracle="the serial engine's hash (tests/test_engine_shards.py)",
+    ),
+    Seam(
+        "mgr_shards", "REPRO_MGR_SHARDS", int, (), 1,
+        oracle="1: the paper's single mgr (tests/test_mgr_shards.py)",
+        flag="--mgr-shards", metavar="N",
+        help=(
+            "hash-partition the PVFS metadata namespace across N mgr "
+            "shards (DESIGN.md §18); 1 (the default) is the paper's "
+            "single mgr, bit-identical to before"
+        ),
+    ),
+    Seam(
+        "trace_source", "REPRO_TRACE", str, (), None,
+        oracle="the recorded live run (tests/test_trace_ir.py)",
+        flag="--trace", metavar="FILE",
+        help=(
+            "replay this workload trace (JSONL/CSV, see "
+            "'python -m repro.workload record') instead of each "
+            "experiment's synthetic benchmark — every run_instances "
+            "call, including in sweep workers, replays it closed-loop "
+            "on that point's cluster configuration"
+        ),
+    ),
+)
 
 
 @dataclasses.dataclass
@@ -230,42 +303,27 @@ class ClusterConfig:
     pagecache_blocks: int = 16384
     #: Whether compute nodes run the kernel cache module.
     caching: bool = True
-    #: Network model: ``"frames"`` (frame-by-frame, the validated
-    #: default), ``"fluid"`` (analytic max-min bandwidth sharing, see
-    #: DESIGN.md §12), or ``None`` to defer to ``REPRO_NET_MODEL``
-    #: falling back to frames.  Orthogonal to ``CostModel.fabric``:
-    #: that picks the topology (hub/switch), this picks how contention
-    #: on it is simulated.
+    # -- model/engine seams (``SEAMS``): ``None`` defers to the seam's
+    # environment variable, then its default; see :meth:`resolved`.
+    #: Network contention model, ``"frames"`` or ``"fluid"`` (DESIGN.md
+    #: §12).  Orthogonal to ``CostModel.fabric``: that picks the
+    #: topology (hub/switch), this picks how contention on it is
+    #: simulated.
     net_model: str | None = None
-    #: Disk model: ``"mech"`` (per-request spindle simulation, the
-    #: validated default), ``"queued"`` (analytic FIFO batch service,
-    #: see DESIGN.md §13), or ``None`` to defer to
-    #: ``REPRO_DISK_MODEL`` falling back to mech.
+    #: Disk model, ``"mech"`` or ``"queued"`` (DESIGN.md §13).
     disk_model: str | None = None
-    #: Macro-event fast path (DESIGN.md §14): ``True``/``False`` to
-    #: force, or ``None`` to defer to ``REPRO_ENGINE_MACRO`` falling
-    #: back to off.  Off is bit-identical to the validated event-level
-    #: schedule; on trades exact event interleaving inside fully-hit
-    #: read bursts for speed.
+    #: Macro-event fast path for fully-hit read bursts (DESIGN.md §14).
     engine_macro: bool | None = None
-    #: Path of a workload trace (JSONL or CSV dialect) to replay
-    #: instead of the synthetic benchmark the driver would generate,
-    #: or ``None`` to defer to ``REPRO_TRACE`` falling back to the
-    #: synthetic workload.  See ``repro.workload.runner``.
+    #: Workload trace (JSONL or CSV dialect) to replay instead of the
+    #: synthetic benchmark; see ``repro.workload.runner``.
     trace_source: str | None = None
-    #: Conservative parallel engine shards (DESIGN.md §17): how many
-    #: worker environments a trace replay is partitioned across, or
-    #: ``None`` to defer to ``REPRO_ENGINE_SHARDS`` falling back to 1
-    #: (serial).  Only trace replays honor shards > 1.
+    #: Conservative parallel engine shards (DESIGN.md §17); only trace
+    #: replays honor shards > 1.
     engine_shards: int | None = None
-    #: Shard execution backend: ``"process"`` (default), ``"inline"``
-    #: (same-process multi-environment mode), or ``None`` to defer to
-    #: ``REPRO_ENGINE_SHARD_BACKEND``.
+    #: Shard execution backend, ``"process"`` or ``"inline"`` (every
+    #: shard environment in this process).
     shard_backend: str | None = None
-    #: Hash-partitioned metadata server shards (DESIGN.md §18): how
-    #: many mgr daemons the file namespace is split across, or
-    #: ``None`` to defer to ``REPRO_MGR_SHARDS`` falling back to 1
-    #: (the paper's single mgr, bit-identical schedules).
+    #: Hash-partitioned metadata server shards (DESIGN.md §18).
     mgr_shards: int | None = None
     cache: CacheConfig = dataclasses.field(default_factory=CacheConfig)
     costs: CostModel = dataclasses.field(default_factory=CostModel)
@@ -273,30 +331,10 @@ class ClusterConfig:
     def __post_init__(self) -> None:
         if self.compute_nodes < 1 or self.iod_nodes < 1:
             raise ValueError("need at least one compute and one iod node")
-        if self.net_model is not None and self.net_model not in NET_MODELS:
-            raise ValueError(
-                f"unknown net_model {self.net_model!r}; have {NET_MODELS}"
-            )
-        if self.disk_model is not None and self.disk_model not in DISK_MODELS:
-            raise ValueError(
-                f"unknown disk_model {self.disk_model!r}; have {DISK_MODELS}"
-            )
-        if self.engine_shards is not None and self.engine_shards < 1:
-            raise ValueError(
-                f"engine_shards must be >= 1, got {self.engine_shards}"
-            )
-        if (
-            self.shard_backend is not None
-            and self.shard_backend not in SHARD_BACKENDS
-        ):
-            raise ValueError(
-                f"unknown shard_backend {self.shard_backend!r}; "
-                f"have {SHARD_BACKENDS}"
-            )
-        if self.mgr_shards is not None and self.mgr_shards < 1:
-            raise ValueError(
-                f"mgr_shards must be >= 1, got {self.mgr_shards}"
-            )
+        for seam in SEAMS:
+            value = getattr(self, seam.name)
+            if value is not None:
+                seam.check(value, seam.name)
         if self.stripe_size <= 0:
             raise ValueError("stripe size must be positive")
         if self.stripe_size % self.cache.block_size != 0:
@@ -305,124 +343,14 @@ class ClusterConfig:
                 f"({self.stripe_size} % {self.cache.block_size} != 0)"
             )
 
-    @property
-    def resolved_net_model(self) -> str:
-        """The effective network model for this cluster.
-
-        An explicit ``net_model`` wins; otherwise ``REPRO_NET_MODEL``
-        chooses, and with neither set the validated frame model runs.
-        """
-        model = self.net_model or os.environ.get(NET_MODEL_ENV_VAR) or "frames"
-        if model not in NET_MODELS:
-            raise ValueError(
-                f"{NET_MODEL_ENV_VAR}={model!r} is not one of {NET_MODELS}"
-            )
-        return model
-
-    @property
-    def resolved_disk_model(self) -> str:
-        """The effective disk model for this cluster.
-
-        An explicit ``disk_model`` wins; otherwise ``REPRO_DISK_MODEL``
-        chooses, and with neither set the validated mechanical model
-        runs.
-        """
-        model = self.disk_model or os.environ.get(DISK_MODEL_ENV_VAR) or "mech"
-        if model not in DISK_MODELS:
-            raise ValueError(
-                f"{DISK_MODEL_ENV_VAR}={model!r} is not one of {DISK_MODELS}"
-            )
-        return model
-
-    @property
-    def resolved_engine_macro(self) -> bool:
-        """Whether the macro-event fast path is on for this cluster.
-
-        An explicit ``engine_macro`` wins; otherwise a non-empty,
-        non-``"0"`` ``REPRO_ENGINE_MACRO`` enables it, and with
-        neither set the validated event-level path runs.
-        """
-        if self.engine_macro is not None:
-            return self.engine_macro
-        return os.environ.get(ENGINE_MACRO_ENV_VAR, "") not in ("", "0")
-
-    @property
-    def resolved_trace_source(self) -> str | None:
-        """The trace file to replay, or ``None`` for synthetic runs.
-
-        An explicit ``trace_source`` wins; otherwise a non-empty
-        ``REPRO_TRACE`` chooses, and with neither set drivers generate
-        their synthetic workloads as usual.
-        """
-        return self.trace_source or os.environ.get(TRACE_ENV_VAR) or None
-
-    @property
-    def resolved_engine_shards(self) -> int:
-        """How many parallel-engine shards this config asks for.
-
-        An explicit ``engine_shards`` wins; otherwise a non-empty
-        ``REPRO_ENGINE_SHARDS`` chooses, and with neither set the
-        serial engine (one shard) runs.
-        """
-        if self.engine_shards is not None:
-            return self.engine_shards
-        raw = os.environ.get(ENGINE_SHARDS_ENV_VAR, "")
-        if not raw:
-            return 1
-        try:
-            shards = int(raw)
-        except ValueError:
-            raise ValueError(
-                f"{ENGINE_SHARDS_ENV_VAR}={raw!r} is not an integer"
-            ) from None
-        if shards < 1:
-            raise ValueError(
-                f"{ENGINE_SHARDS_ENV_VAR}={raw!r} must be >= 1"
-            )
-        return shards
-
-    @property
-    def resolved_shard_backend(self) -> str:
-        """The effective shard execution backend.
-
-        An explicit ``shard_backend`` wins; otherwise
-        ``REPRO_ENGINE_SHARD_BACKEND`` chooses, and with neither set
-        each shard runs in its own worker process.
-        """
-        backend = (
-            self.shard_backend
-            or os.environ.get(SHARD_BACKEND_ENV_VAR)
-            or "process"
+    def resolved(self) -> ClusterConfig:
+        """A copy with every deferred (``None``) seam filled in: the
+        explicit field wins, then the seam's environment variable,
+        then its default.  A cluster resolves once, at build time."""
+        return dataclasses.replace(
+            self,
+            **{s.name: s.resolve(getattr(self, s.name)) for s in SEAMS},
         )
-        if backend not in SHARD_BACKENDS:
-            raise ValueError(
-                f"{SHARD_BACKEND_ENV_VAR}={backend!r} is not one of "
-                f"{SHARD_BACKENDS}"
-            )
-        return backend
-
-    @property
-    def resolved_mgr_shards(self) -> int:
-        """How many metadata server shards this config asks for.
-
-        An explicit ``mgr_shards`` wins; otherwise a non-empty
-        ``REPRO_MGR_SHARDS`` chooses, and with neither set the
-        paper's single mgr runs.
-        """
-        if self.mgr_shards is not None:
-            return self.mgr_shards
-        raw = os.environ.get(MGR_SHARDS_ENV_VAR, "")
-        if not raw:
-            return 1
-        try:
-            shards = int(raw)
-        except ValueError:
-            raise ValueError(
-                f"{MGR_SHARDS_ENV_VAR}={raw!r} is not an integer"
-            ) from None
-        if shards < 1:
-            raise ValueError(f"{MGR_SHARDS_ENV_VAR}={raw!r} must be >= 1")
-        return shards
 
     def compute_node_names(self) -> list[str]:
         """Names of the compute nodes."""

@@ -54,8 +54,8 @@ class Node:
         cfg = self.config
         block_size = cfg.cache.block_size if cfg else 4096
         pagecache_blocks = cfg.pagecache_blocks if cfg else 16384
-        disk_model = cfg.resolved_disk_model if cfg else "mech"
-        disk_cls = QueuedDiskModel if disk_model == "queued" else DiskModel
+        queued = cfg is not None and cfg.disk_model == "queued"
+        disk_cls = QueuedDiskModel if queued else DiskModel
         self.disk = disk_cls(
             self.env,
             avg_seek_s=self.costs.avg_seek_s,

@@ -13,16 +13,7 @@ import sys
 import time
 import typing as _t
 
-from repro.cluster.config import (
-    DISK_MODEL_ENV_VAR,
-    DISK_MODELS,
-    ENGINE_MACRO_ENV_VAR,
-    ENGINE_SHARDS_ENV_VAR,
-    MGR_SHARDS_ENV_VAR,
-    NET_MODEL_ENV_VAR,
-    NET_MODELS,
-    TRACE_ENV_VAR,
-)
+from repro.cluster.config import SEAMS
 from repro.experiments.common import ExperimentResult
 from repro.experiments.fig4 import run_fig4
 from repro.experiments.fig5 import run_fig5
@@ -200,69 +191,20 @@ def main(argv: _t.Sequence[str] | None = None) -> int:
         action="store_true",
         help="run a small workload and print the per-daemon summary",
     )
-    parser.add_argument(
-        "--net-model",
-        choices=NET_MODELS,
-        default=None,
-        help=(
-            "network contention model: 'frames' (validated default) or "
-            "'fluid' (analytic bandwidth sharing, much faster sweeps)"
-        ),
-    )
-    parser.add_argument(
-        "--disk-model",
-        choices=DISK_MODELS,
-        default=None,
-        help=(
-            "disk service model: 'mech' (per-request spindle "
-            "simulation, validated default) or 'queued' (analytic FIFO "
-            "batch service, much faster disk-bound sweeps)"
-        ),
-    )
-    parser.add_argument(
-        "--engine-macro",
-        action="store_true",
-        help=(
-            "coalesce fully-resident cache-hit read bursts into one "
-            "scheduled event each (DESIGN.md §14); off preserves the "
-            "validated event-level schedule bit-for-bit"
-        ),
-    )
-    parser.add_argument(
-        "--engine-shards",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "split each trace replay across N conservative parallel "
-            "engine shards (DESIGN.md §17); only replayed runs "
-            "(--trace / REPRO_TRACE) honor shards > 1"
-        ),
-    )
-    parser.add_argument(
-        "--mgr-shards",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "hash-partition the PVFS metadata namespace across N mgr "
-            "shards (DESIGN.md §18); 1 (the default) is the paper's "
-            "single mgr, bit-identical to before"
-        ),
-    )
-    parser.add_argument(
-        "--trace",
-        type=str,
-        default=None,
-        metavar="FILE",
-        help=(
-            "replay this workload trace (JSONL/CSV, see "
-            "'python -m repro.workload record') instead of each "
-            "experiment's synthetic benchmark — every run_instances "
-            "call, including in sweep workers, replays it closed-loop "
-            "on that point's cluster configuration"
-        ),
-    )
+    for seam in SEAMS:
+        if seam.flag is None:
+            continue
+        if seam.type is bool:
+            parser.add_argument(
+                seam.flag, dest=seam.name, action="store_true",
+                default=None, help=seam.help,
+            )
+        else:
+            parser.add_argument(
+                seam.flag, dest=seam.name, type=seam.type,
+                choices=seam.choices or None, metavar=seam.metavar,
+                help=seam.help,
+            )
     parser.add_argument(
         "--profile",
         type=int,
@@ -276,20 +218,17 @@ def main(argv: _t.Sequence[str] | None = None) -> int:
         ),
     )
     args = parser.parse_args(argv)
-    if args.net_model:
+    for seam in SEAMS:
+        value = getattr(args, seam.name, None)
+        if seam.flag is None or value is None:
+            continue
+        try:
+            seam.check(value, seam.flag)
+        except ValueError as exc:
+            parser.error(str(exc))
         # Via the environment so parallel sweep workers inherit it —
-        # every ClusterConfig built anywhere in this run resolves it.
-        os.environ[NET_MODEL_ENV_VAR] = args.net_model
-    if args.disk_model:
-        os.environ[DISK_MODEL_ENV_VAR] = args.disk_model
-    if args.engine_macro:
-        os.environ[ENGINE_MACRO_ENV_VAR] = "1"
-    if args.engine_shards:
-        os.environ[ENGINE_SHARDS_ENV_VAR] = str(args.engine_shards)
-    if args.mgr_shards:
-        os.environ[MGR_SHARDS_ENV_VAR] = str(args.mgr_shards)
-    if args.trace:
-        os.environ[TRACE_ENV_VAR] = args.trace
+        # every cluster built anywhere in this run resolves it.
+        os.environ[seam.env] = "1" if value is True else str(value)
     if args.profile:
         import cProfile
         import pstats

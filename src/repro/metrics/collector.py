@@ -12,6 +12,17 @@ import typing as _t
 from collections import defaultdict
 
 
+def percentile(data: _t.Iterable[float], q: float) -> float:
+    """Nearest-rank percentile of ``data``, q in [0, 100]; nan if empty."""
+    ordered = sorted(data)
+    if not ordered:
+        return math.nan
+    if not (0 <= q <= 100):
+        raise ValueError(f"percentile out of range: {q}")
+    rank = max(1, math.ceil(q / 100.0 * len(ordered)))
+    return ordered[rank - 1]
+
+
 class Metrics:
     """Named counters and named series of float samples."""
 
@@ -49,14 +60,8 @@ class Metrics:
         return sum(self.series.get(name, ()))
 
     def percentile(self, name: str, q: float) -> float:
-        """Nearest-rank percentile, q in [0, 100]."""
-        data = sorted(self.series.get(name, ()))
-        if not data:
-            return math.nan
-        if not (0 <= q <= 100):
-            raise ValueError(f"percentile out of range: {q}")
-        rank = max(1, math.ceil(q / 100.0 * len(data)))
-        return data[rank - 1]
+        """Nearest-rank percentile of a series, q in [0, 100]."""
+        return percentile(self.series.get(name, ()), q)
 
     def summary(self, name: str) -> dict[str, float]:
         """n/mean/p50/p95/min/max of a series."""

@@ -442,27 +442,21 @@ def run_sharded_replay(
 
     from repro.sim.engine import TRACE_HASH_ENV_VAR
 
-    n = config.resolved_engine_shards if shards is None else shards
+    config = config.resolved()  # its seams are never None
+    n: int = config.engine_shards if shards is None else shards
     if n < 1:
         raise ValueError(f"need at least one shard, got {n}")
-    backend = config.resolved_shard_backend if backend is None else backend
+    mode: str = config.shard_backend if backend is None else backend
     if hash_enabled is None:
         hash_enabled = os.environ.get(
             TRACE_HASH_ENV_VAR, ""
         ) not in ("", "0")
 
-    # Freeze every env-var-resolved knob into the config the shards
-    # see: a worker must never re-resolve (differently), never recurse
-    # into sharding, and never re-load the trace source.
+    # The shards see the resolved seams, so a worker never re-resolves
+    # (differently); it must also never recurse into sharding or
+    # re-load the trace source.
     config = dataclasses.replace(
-        config,
-        net_model=config.resolved_net_model,
-        disk_model=config.resolved_disk_model,
-        engine_macro=config.resolved_engine_macro,
-        trace_source=None,
-        engine_shards=1,
-        shard_backend=None,
-        mgr_shards=config.resolved_mgr_shards,
+        config, trace_source=None, engine_shards=1, shard_backend=None
     )
     plan = plan_shards(
         config.compute_node_names(), config.iod_node_names(), n
@@ -475,18 +469,18 @@ def run_sharded_replay(
         run.run_serial()
         return _assemble([run.finish()], n, "inline", barriers=0)
 
-    if backend == "inline":
+    if mode == "inline":
         handles: list[_t.Any] = [
             _InlineShard(config, plan, i, trace, preserve_timing, hash_enabled)
             for i in range(n)
         ]
-    elif backend == "process":
+    elif mode == "process":
         handles = [
             _ProcessShard(config, plan, i, trace, preserve_timing, hash_enabled)
             for i in range(n)
         ]
     else:
-        raise ValueError(f"unknown shard backend {backend!r}")
+        raise ValueError(f"unknown shard backend {mode!r}")
 
     try:
         barriers = _drive(handles)
@@ -494,7 +488,7 @@ def run_sharded_replay(
     finally:
         for h in handles:
             h.close()
-    return _assemble(results, n, backend, barriers=barriers)
+    return _assemble(results, n, mode, barriers=barriers)
 
 
 def _drive(handles: _t.Sequence[_t.Any]) -> int:

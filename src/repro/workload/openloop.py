@@ -45,6 +45,7 @@ import typing as _t
 
 import numpy as np
 
+from repro.metrics.collector import percentile
 from repro.workload.trace import Trace, TraceEvent
 
 #: Recognised arrival processes.
@@ -469,15 +470,6 @@ _LATENCY_SERIES = (
 )
 
 
-def _percentile(data: list[float], q: float) -> float:
-    """Nearest-rank percentile (matching ``Metrics.percentile``)."""
-    if not data:
-        return math.nan
-    ordered = sorted(data)
-    rank = max(1, math.ceil(q / 100.0 * len(ordered)))
-    return ordered[rank - 1]
-
-
 def report_from_series(
     trace: Trace,
     makespan_s: float,
@@ -494,9 +486,9 @@ def report_from_series(
         offered_ops=len(trace.events),
         duration_s=duration,
         makespan_s=makespan_s,
-        p50_s=_percentile(latencies, 50),
-        p95_s=_percentile(latencies, 95),
-        p99_s=_percentile(latencies, 99),
+        p50_s=percentile(latencies, 50),
+        p95_s=percentile(latencies, 95),
+        p99_s=percentile(latencies, 99),
     )
 
 

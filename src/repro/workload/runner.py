@@ -77,7 +77,8 @@ def run_instances(
     by a replay of that trace (see module docstring); ``record=True``
     attaches a bus-tap recorder either way.
     """
-    trace_source = config.resolved_trace_source
+    config = config.resolved()
+    trace_source = config.trace_source
     if trace_source is not None:
         return _run_replay(config, trace_source, record=record)
     cluster = Cluster(config)
@@ -146,7 +147,7 @@ def _run_replay(
     from repro.workload.trace import load_path
 
     trace = load_path(trace_source)
-    shards = config.resolved_engine_shards
+    shards = config.engine_shards
     if shards > 1:
         if record:
             raise ValueError(

@@ -498,33 +498,6 @@ def validate_trace(trace: Trace) -> list[str]:
     return issues
 
 
-# -- legacy API (pre-IR call sites) ----------------------------------------
-def load_trace(fp: _t.TextIO) -> list[TraceEvent]:
-    """Parse a trace and return its events (legacy list-based API)."""
-    return load(fp).events
-
-
-def loads_trace(text: str) -> list[TraceEvent]:
-    """Parse a trace string and return its events (legacy API)."""
-    return loads(text).events
-
-
-# Recorder/replayer re-exports keep the historical import surface
-# (``repro.workload.trace.TraceRecorder`` / ``TraceReplayer``)
-# working; the implementations live in their own modules now.  Lazy
-# (PEP 562) because those modules import this one at load time.
-def __getattr__(name: str) -> _t.Any:
-    if name == "TraceRecorder":
-        from repro.workload.record import TraceRecorder
-
-        return TraceRecorder
-    if name == "TraceReplayer":
-        from repro.workload.replay import TraceReplayer
-
-        return TraceReplayer
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 __all__ = [
     "CANONICAL_OPS",
     "CSV_COLUMNS",
@@ -534,13 +507,9 @@ __all__ = [
     "Trace",
     "TraceEvent",
     "TraceFormatError",
-    "TraceRecorder",
-    "TraceReplayer",
     "canonical_op",
     "load",
     "load_path",
-    "load_trace",
     "loads",
-    "loads_trace",
     "validate_trace",
 ]

@@ -1,8 +1,6 @@
 """Tests for reuse-distance (Mattson) analysis, including a
 cross-check against the simulated cache."""
 
-import math
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -116,7 +114,7 @@ def test_prediction_matches_simulated_exact_lru_cache():
 
     from repro.cluster.cluster import Cluster
     from repro.cluster.config import CacheConfig, ClusterConfig
-    from repro.workload.trace import TraceRecorder
+    from repro.workload import TraceRecorder
 
     n_cache_blocks = 16
     config = ClusterConfig(

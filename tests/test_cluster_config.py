@@ -1,9 +1,14 @@
 """Tests for configuration validation and cluster assembly."""
 
+import pathlib
+import re
+
 import pytest
 
-from repro.cluster.config import CacheConfig, ClusterConfig, CostModel
+from repro.cluster.config import SEAMS, CacheConfig, ClusterConfig, CostModel
 from tests.conftest import make_cluster, run_app
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 # -- CostModel -----------------------------------------------------------
@@ -75,6 +80,106 @@ def test_cluster_config_validation():
         ClusterConfig(stripe_size=0)
     with pytest.raises(ValueError):
         ClusterConfig(stripe_size=5000)  # not multiple of block size
+
+
+# -- model/engine seams ----------------------------------------------------
+
+#: Per seam: a raw environment value and what it resolves to, a valid
+#: explicit value that differs from it, bad raw environment values and
+#: bad explicit values.  Any non-empty path is a valid ``REPRO_TRACE``.
+SEAM_CASES = {
+    "net_model": ("fluid", "fluid", "frames", ["smoke-signals"], ["ssd"]),
+    "disk_model": ("queued", "queued", "mech", ["punch-cards"], ["ssd"]),
+    "engine_macro": ("1", True, False, ["false", "yes", "2"], ["on", 1]),
+    "engine_shards": ("3", 3, 2, ["zero", "0", "-1"], [0, -2, True]),
+    "shard_backend": ("inline", "inline", "process", ["threads"], ["threads"]),
+    "mgr_shards": ("4", 4, 2, ["0", "many"], [0]),
+    "trace_source": ("a.jsonl", "a.jsonl", "b.jsonl", [], ["", 5]),
+}
+
+
+@pytest.mark.parametrize("seam", SEAMS, ids=lambda seam: seam.name)
+def test_seam_resolution(seam, monkeypatch):
+    raw, from_env, explicit, bad_env, bad_explicit = SEAM_CASES[seam.name]
+
+    def resolved(**fields):
+        return getattr(ClusterConfig(**fields).resolved(), seam.name)
+
+    # Unset or empty: the default.
+    monkeypatch.delenv(seam.env, raising=False)
+    assert resolved() == seam.default
+    assert resolved(**{seam.name: from_env}) == from_env
+    monkeypatch.setenv(seam.env, "")
+    assert resolved() == seam.default
+    # The environment beats the default; an explicit field beats both.
+    monkeypatch.setenv(seam.env, raw)
+    assert resolved() == from_env
+    assert resolved(**{seam.name: explicit}) == explicit
+    for value in bad_env:
+        monkeypatch.setenv(seam.env, value)
+        with pytest.raises(ValueError, match=seam.env):
+            ClusterConfig().resolved()
+        # An explicit field never reads the environment.
+        assert resolved(**{seam.name: explicit}) == explicit
+    for value in bad_explicit:
+        with pytest.raises(ValueError, match=seam.name):
+            ClusterConfig(**{seam.name: value})
+    # The seam names its oracle and the test file holding it there.
+    path = re.search(r"tests/\w+\.py", seam.oracle)
+    assert path and (ROOT / path.group()).is_file(), seam.oracle
+
+
+def test_boolean_seam_env_zero_is_off(monkeypatch):
+    monkeypatch.setenv("REPRO_ENGINE_MACRO", "0")
+    assert ClusterConfig().resolved().engine_macro is False
+
+
+#: Per flagged seam: a valid CLI value with the environment text it
+#: exports, and an invalid CLI argument list.
+FLAG_CASES = {
+    "net_model": (["--net-model", "fluid"], "fluid", ["--net-model", "x"]),
+    "disk_model": (["--disk-model", "queued"], "queued", ["--disk-model", "x"]),
+    "engine_macro": (["--engine-macro"], "1", ["--engine-macro=yes"]),
+    "engine_shards": (["--engine-shards", "4"], "4", ["--engine-shards", "0"]),
+    "mgr_shards": (["--mgr-shards", "2"], "2", ["--mgr-shards", "0"]),
+    "trace_source": (["--trace", "run.jsonl"], "run.jsonl", ["--trace", ""]),
+}
+
+
+@pytest.mark.parametrize(
+    "seam", [seam for seam in SEAMS if seam.flag], ids=lambda seam: seam.name
+)
+def test_seam_cli_flag(seam, monkeypatch):
+    import os
+
+    import repro.experiments.report as report
+
+    good, exported, bad = FLAG_CASES[seam.name]
+    monkeypatch.setattr(report, "run_all", lambda **kwargs: [])
+    monkeypatch.setenv(seam.env, "sentinel")
+    with pytest.raises(SystemExit) as exc:
+        report.main(bad)
+    assert exc.value.code == 2
+    assert os.environ[seam.env] == "sentinel"
+    assert report.main(good) == 0
+    assert os.environ[seam.env] == exported
+
+
+def test_cluster_resolves_seams_once(monkeypatch):
+    from repro.cluster.cluster import Cluster
+    from repro.disk import QueuedDiskModel
+
+    monkeypatch.setenv("REPRO_DISK_MODEL", "queued")
+    cluster = Cluster(
+        ClusterConfig(compute_nodes=1, iod_nodes=1, separate_iod_nodes=True)
+    )
+    assert cluster.config.disk_model == "queued"
+    # A later change of the environment cannot split the cluster.
+    monkeypatch.setenv("REPRO_DISK_MODEL", "mech")
+    compute = cluster.node("node0")
+    assert compute.disk is None
+    compute.attach_disk()
+    assert isinstance(compute.disk, QueuedDiskModel)
 
 
 def test_node_naming_colocated():

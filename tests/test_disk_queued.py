@@ -20,11 +20,7 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis.determinism import fig4_point_trace_hash
-from repro.cluster.config import (
-    DISK_MODEL_ENV_VAR,
-    NET_MODEL_ENV_VAR,
-    ClusterConfig,
-)
+from repro.cluster.config import ClusterConfig
 from repro.disk import DiskModel, QueuedDiskModel
 from repro.sim import Environment
 from tests.conftest import make_cluster, run_app
@@ -275,8 +271,8 @@ def test_queued_batch_atomicity_can_only_help_makespan():
 def test_mech_trace_hash_bit_identical_to_seed(monkeypatch):
     """The batched data path must be a pure refactor for ``mech``:
     the same-seed schedule digest equals the pre-refactor golden."""
-    monkeypatch.delenv(DISK_MODEL_ENV_VAR, raising=False)
-    monkeypatch.delenv(NET_MODEL_ENV_VAR, raising=False)
+    monkeypatch.delenv("REPRO_DISK_MODEL", raising=False)
+    monkeypatch.delenv("REPRO_NET_MODEL", raising=False)
     assert fig4_point_trace_hash(seed=4242) == GOLDEN_MECH_READ_HASH
     assert (
         fig4_point_trace_hash(d=65536, mode="write", seed=7)
@@ -285,10 +281,10 @@ def test_mech_trace_hash_bit_identical_to_seed(monkeypatch):
 
 
 def test_trace_hash_stable_per_disk_model(monkeypatch):
-    monkeypatch.delenv(NET_MODEL_ENV_VAR, raising=False)
+    monkeypatch.delenv("REPRO_NET_MODEL", raising=False)
     hashes = {}
     for model in ("mech", "queued"):
-        monkeypatch.setenv(DISK_MODEL_ENV_VAR, model)
+        monkeypatch.setenv("REPRO_DISK_MODEL", model)
         first = fig4_point_trace_hash(seed=4242)
         again = fig4_point_trace_hash(seed=4242)
         assert first == again, f"{model} schedule is not reproducible"
@@ -307,30 +303,18 @@ def test_config_rejects_unknown_disk_model():
         ClusterConfig(disk_model="ssd")
 
 
-def test_resolved_disk_model_precedence(monkeypatch):
-    monkeypatch.delenv(DISK_MODEL_ENV_VAR, raising=False)
-    assert ClusterConfig().resolved_disk_model == "mech"
-    monkeypatch.setenv(DISK_MODEL_ENV_VAR, "queued")
-    assert ClusterConfig().resolved_disk_model == "queued"
-    # An explicit config wins over the environment.
-    assert ClusterConfig(disk_model="mech").resolved_disk_model == "mech"
-    monkeypatch.setenv(DISK_MODEL_ENV_VAR, "punch-cards")
-    with pytest.raises(ValueError):
-        ClusterConfig().resolved_disk_model
-
-
 def test_cluster_builds_queued_disks(monkeypatch):
-    monkeypatch.delenv(DISK_MODEL_ENV_VAR, raising=False)
+    monkeypatch.delenv("REPRO_DISK_MODEL", raising=False)
     cluster = make_cluster(disk_model="queued")
-    assert cluster.disk_model == "queued"
+    assert cluster.config.disk_model == "queued"
     for iod in cluster.iods:
         assert isinstance(iod.node.disk, QueuedDiskModel)
 
 
 def test_cluster_defaults_to_mech(monkeypatch):
-    monkeypatch.delenv(DISK_MODEL_ENV_VAR, raising=False)
+    monkeypatch.delenv("REPRO_DISK_MODEL", raising=False)
     cluster = make_cluster()
-    assert cluster.disk_model == "mech"
+    assert cluster.config.disk_model == "mech"
     for iod in cluster.iods:
         assert type(iod.node.disk) is DiskModel
 
@@ -342,7 +326,7 @@ def test_cluster_defaults_to_mech(monkeypatch):
 
 def test_ensure_resident_coalesces_exact_block_multiple(monkeypatch):
     """A cold read of an exact block multiple is one disk request."""
-    monkeypatch.delenv(DISK_MODEL_ENV_VAR, raising=False)
+    monkeypatch.delenv("REPRO_DISK_MODEL", raising=False)
     cluster = make_cluster(compute_nodes=1, iod_nodes=1, caching=False)
     client = cluster.client("node0")
     disk = cluster.iods[0].node.disk
@@ -367,7 +351,7 @@ def test_ensure_resident_coalesces_exact_block_multiple(monkeypatch):
 def test_zero_capacity_pagecache_always_goes_to_disk(monkeypatch):
     """pagecache_blocks=0 must disable residency without corrupting
     the LRU or the miss path (satellite audit)."""
-    monkeypatch.delenv(DISK_MODEL_ENV_VAR, raising=False)
+    monkeypatch.delenv("REPRO_DISK_MODEL", raising=False)
     cluster = make_cluster(
         compute_nodes=1, iod_nodes=1, caching=False, pagecache_blocks=0
     )
@@ -391,7 +375,7 @@ def test_zero_capacity_pagecache_always_goes_to_disk(monkeypatch):
 @pytest.mark.parametrize("disk_model", ["mech", "queued"])
 def test_end_to_end_read_your_writes(monkeypatch, disk_model):
     """Both models preserve data correctness through the full stack."""
-    monkeypatch.delenv(DISK_MODEL_ENV_VAR, raising=False)
+    monkeypatch.delenv("REPRO_DISK_MODEL", raising=False)
     cluster = make_cluster(caching=False, disk_model=disk_model)
     client = cluster.client("node0")
     payload = bytes(range(256)) * 512  # 128 KB: spans both iods
@@ -428,7 +412,7 @@ def _cold_sweep_makespan(disk_model: str) -> float:
 def test_end_to_end_cold_sweep_makespans_agree(monkeypatch):
     """Disk-bound cluster makespans agree across models within a few
     per cent (contention interleaving is the only divergence)."""
-    monkeypatch.delenv(DISK_MODEL_ENV_VAR, raising=False)
+    monkeypatch.delenv("REPRO_DISK_MODEL", raising=False)
     mech = _cold_sweep_makespan("mech")
     queued = _cold_sweep_makespan("queued")
     assert queued == pytest.approx(mech, rel=0.05)

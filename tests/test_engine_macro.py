@@ -11,7 +11,7 @@ import pytest
 
 from repro.analysis.determinism import fig4_point_trace_hash
 from repro.cluster.cluster import Cluster
-from repro.cluster.config import ENGINE_MACRO_ENV_VAR, ClusterConfig
+from repro.cluster.config import ClusterConfig
 
 N_READS = 400
 READ_BYTES = 4096
@@ -67,7 +67,7 @@ def _hit_burst_replay(engine_macro: bool) -> dict:
 
 @pytest.fixture(autouse=True)
 def _clean_env(monkeypatch):
-    monkeypatch.delenv(ENGINE_MACRO_ENV_VAR, raising=False)
+    monkeypatch.delenv("REPRO_ENGINE_MACRO", raising=False)
 
 
 def test_macro_matches_event_level_on_hit_bursts():
@@ -96,36 +96,22 @@ def test_macro_matches_event_level_on_hit_bursts():
 
 
 def test_macro_off_is_the_default_validated_schedule(monkeypatch):
-    monkeypatch.delenv(ENGINE_MACRO_ENV_VAR, raising=False)
+    monkeypatch.delenv("REPRO_ENGINE_MACRO", raising=False)
     baseline = fig4_point_trace_hash(seed=4242)
     explicit_off = fig4_point_trace_hash(seed=4242)
     assert baseline == explicit_off
     # The macro schedule is itself reproducible run to run.
-    monkeypatch.setenv(ENGINE_MACRO_ENV_VAR, "1")
+    monkeypatch.setenv("REPRO_ENGINE_MACRO", "1")
     first = fig4_point_trace_hash(seed=4242)
     again = fig4_point_trace_hash(seed=4242)
     assert first == again
 
 
-def test_resolved_engine_macro_precedence(monkeypatch):
-    monkeypatch.delenv(ENGINE_MACRO_ENV_VAR, raising=False)
-    assert ClusterConfig().resolved_engine_macro is False
-    monkeypatch.setenv(ENGINE_MACRO_ENV_VAR, "1")
-    assert ClusterConfig().resolved_engine_macro is True
-    monkeypatch.setenv(ENGINE_MACRO_ENV_VAR, "0")
-    assert ClusterConfig().resolved_engine_macro is False
-    # An explicit config wins over the environment.
-    monkeypatch.setenv(ENGINE_MACRO_ENV_VAR, "1")
-    assert ClusterConfig(engine_macro=False).resolved_engine_macro is False
-    monkeypatch.delenv(ENGINE_MACRO_ENV_VAR, raising=False)
-    assert ClusterConfig(engine_macro=True).resolved_engine_macro is True
-
-
 def test_cluster_plumbs_the_flag_to_cache_modules(monkeypatch):
-    monkeypatch.delenv(ENGINE_MACRO_ENV_VAR, raising=False)
+    monkeypatch.delenv("REPRO_ENGINE_MACRO", raising=False)
     on = Cluster(ClusterConfig(compute_nodes=2, iod_nodes=1, engine_macro=True))
-    assert on.engine_macro is True
+    assert on.config.engine_macro is True
     assert all(m.engine_macro for m in on.cache_modules.values())
     off = Cluster(ClusterConfig(compute_nodes=2, iod_nodes=1))
-    assert off.engine_macro is False
+    assert off.config.engine_macro is False
     assert not any(m.engine_macro for m in off.cache_modules.values())

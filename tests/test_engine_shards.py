@@ -14,12 +14,7 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis.reset import reset_all
-from repro.cluster.config import (
-    ENGINE_SHARDS_ENV_VAR,
-    SHARD_BACKEND_ENV_VAR,
-    CacheConfig,
-    ClusterConfig,
-)
+from repro.cluster.config import CacheConfig, ClusterConfig
 from repro.sim import Environment
 from repro.sim.mailbox import Envelope, ShardPlan, plan_shards
 from repro.sim.parallel import merged_trace_hash, run_sharded_replay
@@ -339,45 +334,6 @@ def test_config_validates_shard_fields():
         ClusterConfig(engine_shards=0)
     with pytest.raises(ValueError):
         ClusterConfig(shard_backend="threads")
-
-
-def test_resolved_engine_shards(monkeypatch):
-    monkeypatch.delenv(ENGINE_SHARDS_ENV_VAR, raising=False)
-    assert ClusterConfig().resolved_engine_shards == 1
-    monkeypatch.setenv(ENGINE_SHARDS_ENV_VAR, "3")
-    assert ClusterConfig().resolved_engine_shards == 3
-    assert ClusterConfig(engine_shards=2).resolved_engine_shards == 2
-    monkeypatch.setenv(ENGINE_SHARDS_ENV_VAR, "zero")
-    with pytest.raises(ValueError):
-        ClusterConfig().resolved_engine_shards
-    monkeypatch.setenv(ENGINE_SHARDS_ENV_VAR, "0")
-    with pytest.raises(ValueError):
-        ClusterConfig().resolved_engine_shards
-
-
-def test_resolved_shard_backend(monkeypatch):
-    monkeypatch.delenv(SHARD_BACKEND_ENV_VAR, raising=False)
-    assert ClusterConfig().resolved_shard_backend == "process"
-    monkeypatch.setenv(SHARD_BACKEND_ENV_VAR, "inline")
-    assert ClusterConfig().resolved_shard_backend == "inline"
-    assert (
-        ClusterConfig(shard_backend="process").resolved_shard_backend
-        == "process"
-    )
-    monkeypatch.setenv(SHARD_BACKEND_ENV_VAR, "threads")
-    with pytest.raises(ValueError):
-        ClusterConfig().resolved_shard_backend
-
-
-def test_engine_shards_cli_flag_sets_env(monkeypatch):
-    import repro.experiments.report as report
-
-    monkeypatch.setenv(ENGINE_SHARDS_ENV_VAR, "sentinel")
-    monkeypatch.setattr(report, "run_all", lambda **kwargs: [])
-    assert report.main(["--engine-shards", "4"]) == 0
-    import os
-
-    assert os.environ[ENGINE_SHARDS_ENV_VAR] == "4"
 
 
 def test_run_instances_routes_sharded_replay(tmp_path, monkeypatch):

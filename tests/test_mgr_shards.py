@@ -9,7 +9,7 @@ sequence, bit-identical schedule hashes.
 
 import pytest
 
-from repro.cluster.config import ClusterConfig, MGR_SHARDS_ENV_VAR
+from repro.cluster.config import ClusterConfig
 from repro.pvfs import protocol
 from repro.sim.parallel import run_sharded_replay
 from tests.conftest import make_cluster, run_app
@@ -65,18 +65,19 @@ def test_owning_mgr_shard_inverts_id_allocation():
 # -- config seam ----------------------------------------------------------------
 
 
-def test_mgr_shards_default_is_one():
-    assert ClusterConfig().resolved_mgr_shards == 1
+def test_mgr_shards_default_is_one(monkeypatch):
+    monkeypatch.delenv("REPRO_MGR_SHARDS", raising=False)
+    assert ClusterConfig().resolved().mgr_shards == 1
 
 
 def test_mgr_shards_explicit_wins_over_env(monkeypatch):
-    monkeypatch.setenv(MGR_SHARDS_ENV_VAR, "8")
-    assert ClusterConfig(mgr_shards=2).resolved_mgr_shards == 2
+    monkeypatch.setenv("REPRO_MGR_SHARDS", "8")
+    assert ClusterConfig(mgr_shards=2).resolved().mgr_shards == 2
 
 
 def test_mgr_shards_env_var(monkeypatch):
-    monkeypatch.setenv(MGR_SHARDS_ENV_VAR, "4")
-    assert ClusterConfig().resolved_mgr_shards == 4
+    monkeypatch.setenv("REPRO_MGR_SHARDS", "4")
+    assert ClusterConfig().resolved().mgr_shards == 4
 
 
 def test_mgr_shards_validation():

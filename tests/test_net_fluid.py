@@ -17,14 +17,9 @@ import pytest
 
 from repro.analysis.determinism import fig4_point_trace_hash
 from repro.cluster.cluster import Cluster
-from repro.cluster.config import (
-    NET_MODEL_ENV_VAR,
-    ClusterConfig,
-    CostModel,
-)
+from repro.cluster.config import ClusterConfig, CostModel
 from repro.net import (
     FluidFabric,
-    Network,
     SharedHubFabric,
     SwitchedFabric,
 )
@@ -359,7 +354,7 @@ def test_fluid_accounting_counts_requested_bytes():
 def test_trace_hash_stable_per_net_model(monkeypatch):
     hashes = {}
     for model in ("frames", "fluid"):
-        monkeypatch.setenv(NET_MODEL_ENV_VAR, model)
+        monkeypatch.setenv("REPRO_NET_MODEL", model)
         first = fig4_point_trace_hash(seed=4242)
         again = fig4_point_trace_hash(seed=4242)
         assert first == again, f"{model} schedule is not reproducible"
@@ -370,9 +365,9 @@ def test_trace_hash_stable_per_net_model(monkeypatch):
 
 def test_frames_hash_ignores_fluid_availability(monkeypatch):
     """Leaving the knob unset is exactly the frames model."""
-    monkeypatch.delenv(NET_MODEL_ENV_VAR, raising=False)
+    monkeypatch.delenv("REPRO_NET_MODEL", raising=False)
     default = fig4_point_trace_hash(seed=99)
-    monkeypatch.setenv(NET_MODEL_ENV_VAR, "frames")
+    monkeypatch.setenv("REPRO_NET_MODEL", "frames")
     assert fig4_point_trace_hash(seed=99) == default
 
 
@@ -386,28 +381,16 @@ def test_config_rejects_unknown_net_model():
         ClusterConfig(net_model="carrier-pigeon")
 
 
-def test_resolved_net_model_precedence(monkeypatch):
-    monkeypatch.delenv(NET_MODEL_ENV_VAR, raising=False)
-    assert ClusterConfig().resolved_net_model == "frames"
-    monkeypatch.setenv(NET_MODEL_ENV_VAR, "fluid")
-    assert ClusterConfig().resolved_net_model == "fluid"
-    # An explicit config wins over the environment.
-    assert ClusterConfig(net_model="frames").resolved_net_model == "frames"
-    monkeypatch.setenv(NET_MODEL_ENV_VAR, "smoke-signals")
-    with pytest.raises(ValueError):
-        ClusterConfig().resolved_net_model
-
-
 @pytest.mark.parametrize("fabric", ["hub", "switch"])
 def test_cluster_builds_fluid_fabric(monkeypatch, fabric):
-    monkeypatch.delenv(NET_MODEL_ENV_VAR, raising=False)
+    monkeypatch.delenv("REPRO_NET_MODEL", raising=False)
     config = ClusterConfig(
         net_model="fluid", costs=CostModel(fabric=fabric)
     )
     cluster = Cluster(config)
     assert isinstance(cluster.network.fabric, FluidFabric)
     assert cluster.network.fabric.mode == fabric
-    assert cluster.net_model == "fluid"
+    assert cluster.config.net_model == "fluid"
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import os
 
 import pytest
 
-from repro.cluster.config import TRACE_ENV_VAR, ClusterConfig
+from repro.cluster.config import ClusterConfig
 from repro.workload import transform as tr
 from repro.workload.classify import classify_trace
 from repro.workload.record import TraceRecorder
@@ -425,7 +425,7 @@ def test_trace_env_var_reaches_run_instances(tmp_path, monkeypatch):
     text = record_microbench_trace(iterations=2)
     path = tmp_path / "run.jsonl"
     path.write_text(text)
-    monkeypatch.setenv(TRACE_ENV_VAR, str(path))
+    monkeypatch.setenv("REPRO_TRACE", str(path))
     outcome = run_instances(ClusterConfig(compute_nodes=2, iod_nodes=2), [])
     assert outcome.total_time > 0
     assert outcome.counter("client.reads") == len(loads(text))

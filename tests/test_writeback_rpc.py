@@ -5,7 +5,7 @@ import pytest
 from repro.disk import DiskModel
 from repro.disk.writeback import WritebackDaemon, WritebackItem
 from repro.net import Message, Network, SocketAPI
-from repro.net.rpc import RpcChannel
+from repro.svc.rpc import RpcChannel
 from repro.sim import Environment
 
 
