@@ -26,10 +26,10 @@ This lint walks the source tree and flags exactly those hazards:
     ``except GeneratorExit`` inside a generator function without a
     re-raise — swallowing ``GeneratorExit`` breaks ``Process.kill``.
 ``RPL006``
-    Direct ``heapq`` import outside ``repro.sim``: the event queue is
-    a seam (timer wheel + far heap, DESIGN.md §14), and code that
-    heap-manages simulation timestamps itself bypasses the engine's
-    ordering, stats, and compaction.  Schedule through
+    Direct ``heapq`` import outside ``repro.sim``: the event queue
+    (due deques + future heap, DESIGN.md §14) belongs to the engine,
+    and code that heap-manages simulation timestamps itself bypasses
+    the engine's ordering, stats, and compaction.  Schedule through
     ``Environment``/``Timer`` instead.
 ``RPL007``
     Reaching into another shard's objects outside ``repro.sim``:

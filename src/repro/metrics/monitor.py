@@ -1,26 +1,12 @@
-"""Monitoring of simulated resources and daemons.
+"""Monitoring of simulated daemons.
 
-Two complementary tools live here:
-
-* :class:`ResourceMonitor` samples arbitrary probes at a fixed
-  simulated-time interval (time-series questions: *when* was the wire
-  saturated, how full was the cache over time?).
-
-* :class:`DaemonMonitor` subscribes to the service runtime's
-  instrumentation bus (:mod:`repro.svc.events`) — no polling — and
-  aggregates the typed event records each daemon emits.  The
-  per-daemon summary table (messages handled, queue-depth high-water
-  mark, busy time) comes from :func:`daemon_table`.
+:class:`DaemonMonitor` subscribes to the service runtime's
+instrumentation bus (:mod:`repro.svc.events`) — no polling — and
+aggregates the typed event records each daemon emits.  The per-daemon
+summary table (messages handled, queue-depth high-water mark, busy
+time) comes from :func:`daemon_table`.
 
 Example::
-
-    monitor = ResourceMonitor(cluster.env, interval_s=0.01)
-    module = cluster.cache_modules["node0"]
-    monitor.track("dirty_blocks", lambda: module.manager.n_dirty)
-    monitor.track("free_blocks", lambda: module.manager.n_free)
-    monitor.start()
-    ... run the workload ...
-    print(monitor.table())
 
     from repro.svc import get_bus
     print(daemon_table(get_bus(cluster.env)))
@@ -30,99 +16,8 @@ from __future__ import annotations
 
 import typing as _t
 
-from repro.sim import Environment, Process
-
 if _t.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.svc.events import InstrumentationBus, ServiceEvent
-
-
-class ResourceMonitor:
-    """Samples named probes every ``interval_s`` of simulated time."""
-
-    def __init__(self, env: Environment, interval_s: float = 0.01) -> None:
-        if interval_s <= 0:
-            raise ValueError(f"interval must be positive, got {interval_s}")
-        self.env = env
-        self.interval_s = interval_s
-        self._probes: dict[str, _t.Callable[[], float]] = {}
-        self.times: list[float] = []
-        self.samples: dict[str, list[float]] = {}
-        self._proc: Process | None = None
-        self._stopped = False
-
-    def track(self, name: str, probe: _t.Callable[[], float]) -> None:
-        """Register a probe (may be added before or after start)."""
-        if name in self._probes:
-            raise ValueError(f"probe {name!r} already registered")
-        self._probes[name] = probe
-        # Back-fill so every series has one value per sample tick.
-        self.samples[name] = [float("nan")] * len(self.times)
-
-    def start(self) -> None:
-        """Spawn the sampling process."""
-        if self._proc is not None:
-            raise RuntimeError("monitor already started")
-        self._proc = self.env.process(self._loop(), name="resource-monitor")
-
-    def stop(self) -> None:
-        """Stop sampling (the monitor process exits at its next tick)."""
-        self._stopped = True
-
-    def _loop(self) -> _t.Generator:
-        while not self._stopped:
-            self.times.append(self.env.now)
-            for name, probe in self._probes.items():
-                self.samples[name].append(float(probe()))
-            yield self.env.timeout(self.interval_s)
-
-    # -- analysis -------------------------------------------------------------
-    def series(self, name: str) -> list[float]:
-        """The sampled values of one probe."""
-        return self.samples[name]
-
-    def peak(self, name: str) -> float:
-        """Maximum sampled value (NaN-safe)."""
-        data = [v for v in self.samples[name] if v == v]  # drop NaN
-        return max(data) if data else float("nan")
-
-    def mean(self, name: str) -> float:
-        """Mean sampled value (NaN-safe)."""
-        data = [v for v in self.samples[name] if v == v]
-        return sum(data) / len(data) if data else float("nan")
-
-    def time_above(self, name: str, threshold: float) -> float:
-        """Simulated seconds the probe spent above ``threshold``."""
-        return self.interval_s * sum(
-            1 for v in self.samples[name] if v == v and v > threshold
-        )
-
-    def table(self, max_rows: int = 20) -> str:
-        """Aligned text table of the sampled series (subsampled)."""
-        if not self.times:
-            return "(no samples)"
-        names = list(self._probes)
-        step = max(1, len(self.times) // max_rows)
-        header = ["t(s)"] + names
-        rows = []
-        for i in range(0, len(self.times), step):
-            rows.append(
-                [f"{self.times[i]:.4f}"]
-                + [f"{self.samples[n][i]:g}" for n in names]
-            )
-        widths = [
-            max(len(header[c]), *(len(r[c]) for r in rows))
-            for c in range(len(header))
-        ]
-        lines = ["  ".join(h.rjust(w) for h, w in zip(header, widths))]
-        for row in rows:
-            lines.append("  ".join(c.rjust(w) for c, w in zip(row, widths)))
-        return "\n".join(lines)
-
-    def sparkline(self, name: str) -> str:
-        """One-line trend of a series (via the experiments plotter)."""
-        from repro.experiments.plots import sparkline
-
-        return sparkline([v for v in self.samples[name] if v == v])
 
 
 class DaemonMonitor:

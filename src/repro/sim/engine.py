@@ -1,22 +1,17 @@
 """The simulation environment: clock, event queue, and run loop.
 
-The pending-event queue is split by *where in time* an entry lands
-(DESIGN.md §14).  Zero-delay pushes — event ``succeed``/``fail``,
-resource grants, process starts — are by far the most common scheduling
-operation and always carry the current timestamp, so they go to plain
-FIFO deques (one per priority) that stay sorted for free: timestamps
-are non-decreasing push to push and the sequence counter is monotone.
-Future entries (timeouts, timer re-arms) go to a 256-bucket calendar
-wheel of ~244 µs buckets covering a 62.5 ms horizon — wide enough for
-every latency constant in :class:`~repro.cluster.config.CostModel`,
-from the 5 µs block lookup to the 30 ms flush period — with a binary
-heap fallback for entries beyond the horizon.  A one-entry buffer
-always holds the earliest future entry, so the hot pop only compares
-three component heads.
+The pending-event queue is split by *when* an entry lands (DESIGN.md
+§14).  Zero-delay pushes — event ``succeed``/``fail``, resource grants,
+process starts — are by far the most common scheduling operation and
+always carry the current timestamp, so they go to plain FIFO deques
+(one per priority) that stay sorted for free: timestamps are
+non-decreasing push to push and the sequence counter is monotone.
+Every future entry (timeouts, timer re-arms) goes to one binary heap,
+and a pop compares the three heads.
 
 Every entry is ``(time, priority, seq, event)`` and pops follow that
 exact tuple order, which keeps the BLAKE2b schedule trace hash
-bit-identical to the single-heap implementation this replaced.
+bit-identical to a single global heap.
 """
 
 from __future__ import annotations
@@ -24,9 +19,8 @@ from __future__ import annotations
 import hashlib
 import os
 import typing as _t
-from bisect import insort
 from collections import deque
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 
 from repro.sim.events import AllOf, AnyOf, Event, Timeout, Timer
 from repro.sim.process import Process
@@ -34,13 +28,6 @@ from repro.sim.process import Process
 #: Environment variable: when truthy, every new :class:`Environment`
 #: starts with trace hashing enabled (see :meth:`Environment.enable_trace_hash`).
 TRACE_HASH_ENV_VAR = "REPRO_TRACE_HASH"
-
-#: Calendar wheel geometry.  4096 buckets per second (2**12, so the
-#: time-to-bucket mapping is an exact binary scaling) and 256 slots
-#: give ~244 µs buckets over a 62.5 ms horizon.
-_BUCKETS_PER_S = 4096.0
-_WHEEL_SLOTS = 256
-_WHEEL_MASK = _WHEEL_SLOTS - 1
 
 #: Compaction trigger: at least this many suspected-stale timer
 #: entries, and stale entries at least half of all queued future
@@ -84,13 +71,7 @@ class Environment:
         # -- queue components ---------------------------------------
         "_due",
         "_due_urgent",
-        "_nf",
-        "_cur",
-        "_cur_pos",
-        "_ring",
-        "_ring_count",
-        "_cursor_abs",
-        "_far",
+        "_future",
         # -- scheduler statistics (see sched_stats) -----------------
         "_depth",
         "_depth_hw",
@@ -123,27 +104,10 @@ class Environment:
         # normal ones at the same instant.
         self._due: deque[_QueueEntry] = deque()
         self._due_urgent: deque[_QueueEntry] = deque()
-        #: The earliest future entry, buffered out of the wheel/heap so
-        #: the pop path compares at most three heads.  ``None`` when no
-        #: future entries exist.
-        self._nf: _QueueEntry | None = None
-        #: Sorted entries of the wheel bucket the cursor last drained,
-        #: consumed from ``_cur_pos`` (same bounded-garbage index
-        #: pattern as the queued disk model's FIFO).
-        self._cur: list[_QueueEntry] = []
-        self._cur_pos = 0
-        self._ring: list[list[_QueueEntry]] = [
-            [] for _ in range(_WHEEL_SLOTS)
-        ]
-        self._ring_count = 0
-        #: Absolute bucket number (time * 4096) of the cursor; buckets
-        #: at or before it have been drained into ``_cur``.
-        self._cursor_abs = int(self._now * _BUCKETS_PER_S)
-        #: Entries beyond the wheel horizon, plus conservative
-        #: spill-over (a lagging cursor or a bucket collision may park
-        #: a near entry here; ordering never depends on which
-        #: component holds an entry).
-        self._far: list[_QueueEntry] = []
+        #: Binary heap of every future-time entry (and of same-instant
+        #: entries with a nonstandard priority).  Only ever mutated in
+        #: place: the run loops hold a local reference to it.
+        self._future: list[_QueueEntry] = []
         self._depth = 0
         self._depth_hw = 0
         self._events_processed = 0
@@ -219,124 +183,23 @@ class Environment:
         """Queue ``event`` to be processed ``delay`` from now."""
         self._seq += 1
         entry = (self._now + delay, priority, self._seq, event)
-        if delay == 0.0:
-            if priority == 1:
-                self._due.append(entry)
-            elif priority == 0:
-                self._due_urgent.append(entry)
-            else:
-                # Nonstandard priority: the deques' sortedness only
-                # holds for the two canonical levels.
-                self._push_future(entry)
+        if delay == 0.0 and priority == 1:
+            self._due.append(entry)
+        elif delay == 0.0 and priority == 0:
+            self._due_urgent.append(entry)
         else:
-            self._push_future(entry)
+            # Future entries, and nonstandard priorities (the deques'
+            # sortedness only holds for the two canonical levels).
+            heappush(self._future, entry)
         d = self._depth + 1
         self._depth = d
         if d > self._depth_hw:
             self._depth_hw = d
 
-    def _push_future(self, entry: _QueueEntry) -> None:
-        """Insert a future-time entry (``entry[0] >= now``).
-
-        The one-entry ``_nf`` buffer always holds the minimum; a
-        smaller arrival displaces the buffered entry back into the
-        wheel/heap.  Which component stores an entry is purely a speed
-        decision — pops re-compare heads — so a conservative fall-back
-        to the far heap is always safe.
-
-        Depth accounting is the *caller's* job (compaction re-inserts
-        entries without re-counting them).
-        """
-        nf = self._nf
-        if nf is None:
-            self._nf = entry
-            return
-        if entry < nf:
-            self._nf = entry
-            entry = nf
-        abs_b = int(entry[0] * _BUCKETS_PER_S)
-        cursor = self._cursor_abs
-        if abs_b <= cursor:
-            # Lands in (or before) the already-drained bucket: insert
-            # into the sorted remainder of the current bucket.
-            insort(self._cur, entry, self._cur_pos)
-        elif abs_b - cursor < _WHEEL_SLOTS:
-            self._ring[abs_b & _WHEEL_MASK].append(entry)
-            self._ring_count += 1
-        else:
-            heappush(self._far, entry)
-
-    def _refill_nf(self) -> None:
-        """Re-fill the future-min buffer after its entry was consumed."""
-        cur = self._cur
-        pos = self._cur_pos
-        n = len(cur)
-        while pos >= n and self._ring_count:
-            self._advance_ring()
-            cur = self._cur
-            pos = self._cur_pos
-            n = len(cur)
-        far = self._far
-        if pos < n:
-            head = cur[pos]
-            if far and far[0] < head:
-                self._nf = heappop(far)
-                return
-            pos += 1
-            if pos > 32 and pos * 2 > n:
-                del cur[:pos]
-                pos = 0
-            self._cur_pos = pos
-            self._nf = head
-            return
-        if far:
-            self._nf = heappop(far)
-            return
-        self._nf = None
-
-    def _advance_ring(self) -> None:
-        """Move the cursor to the next non-empty wheel bucket and drain
-        it into ``_cur`` (sorted).
-
-        Entries from a *later lap* (same slot, absolute bucket ≥ one
-        full wheel revolution ahead) spill to the far heap.  The scan
-        may start at the current clock's bucket: every queued future
-        entry is at or after the last consumed minimum, so earlier
-        buckets cannot hold live entries.
-        """
-        ring = self._ring
-        far = self._far
-        b = self._cursor_abs + 1
-        j = int(self._now * _BUCKETS_PER_S)
-        if j > b:
-            b = j
-        while self._ring_count:
-            bucket = ring[b & _WHEEL_MASK]
-            if bucket:
-                self._ring_count -= len(bucket)
-                live: list[_QueueEntry] | None = None
-                for entry in bucket:
-                    if int(entry[0] * _BUCKETS_PER_S) == b:
-                        if live is None:
-                            live = []
-                        live.append(entry)
-                    else:
-                        heappush(far, entry)
-                del bucket[:]
-                if live is not None:
-                    live.sort()
-                    self._cur = live
-                    self._cur_pos = 0
-                    self._cursor_abs = b
-                    return
-            b += 1
-        self._cursor_abs = b
-        self._cur = []
-        self._cur_pos = 0
-
     def _peek_entry(self) -> _QueueEntry | None:
         """The next entry in (time, priority, seq) order, not removed."""
-        best = self._nf
+        future = self._future
+        best = future[0] if future else None
         due = self._due
         if due:
             head = due[0]
@@ -353,55 +216,34 @@ class Environment:
         """Remove and return the next entry, or ``None`` when empty."""
         due = self._due
         urgent = self._due_urgent
-        nf = self._nf
+        future = self._future
         if urgent:
             head = urgent[0]
             src = urgent
             if due and due[0] < head:
                 head = due[0]
                 src = due
-            if nf is None or head < nf:
+            if not future or head < future[0]:
                 src.popleft()
                 self._depth -= 1
                 return head
         elif due:
             head = due[0]
-            if nf is None or head < nf:
+            if not future or head < future[0]:
                 due.popleft()
                 self._depth -= 1
                 return head
-        elif nf is None:
+        elif not future:
             return None
-        # Consume the buffered future minimum.  The common case — no
-        # other future entries pending — is inlined; _refill_nf scans
-        # the wheel otherwise.
         self._depth -= 1
-        if (
-            not self._ring_count
-            and not self._far
-            and self._cur_pos >= len(self._cur)
-        ):
-            self._nf = None
-        else:
-            self._refill_nf()
-        return nf
+        return heappop(future)
 
     # -- timer garbage compaction ----------------------------------------
     def _note_stale_timer(self) -> None:
         """A queued timer entry no longer matches its armed deadline."""
-        self._stale_timers += 1
-        if self._stale_timers >= _COMPACT_MIN_STALE:
-            self._maybe_compact()
-
-    def _maybe_compact(self) -> None:
-        depth_future = (
-            (1 if self._nf is not None else 0)
-            + len(self._cur)
-            - self._cur_pos
-            + self._ring_count
-            + len(self._far)
-        )
-        if self._stale_timers * 2 >= depth_future:
+        stale = self._stale_timers + 1
+        self._stale_timers = stale
+        if stale >= _COMPACT_MIN_STALE and stale * 2 >= len(self._future):
             self._compact_futures()
 
     def _compact_futures(self) -> None:
@@ -413,39 +255,26 @@ class Environment:
         unbounded state for an unbounded re-arm rate.  Dropping an
         entry also removes its deadline from the timer's ``_queued``
         list, preserving :meth:`Timer.arm_at`'s invariant of at most
-        one entry per distinct queued deadline.
+        one entry per distinct queued deadline.  Only the future heap
+        is swept; due-deque entries pop within the current instant.
         """
+        future = self._future
         survivors: list[_QueueEntry] = []
-        dropped = 0
-        entries: list[_QueueEntry] = []
-        if self._nf is not None:
-            entries.append(self._nf)
-        entries.extend(self._cur[self._cur_pos :])
-        for bucket in self._ring:
-            entries.extend(bucket)
-            del bucket[:]
-        entries.extend(self._far)
-        for entry in entries:
+        for entry in future:
             event = entry[3]
             if type(event) is Timer and not (
                 event._armed and event._deadline == entry[0]
             ):
                 event._queued.remove(entry[0])
-                dropped += 1
             else:
                 survivors.append(entry)
-        self._nf = None
-        self._cur = []
-        self._cur_pos = 0
-        self._ring_count = 0
-        self._far = []
+        dropped = len(future) - len(survivors)
+        future[:] = survivors
+        heapify(future)
         self._depth -= dropped
         self._timer_entries_purged += dropped
         self._timer_compactions += 1
         self._stale_timers = 0
-        push = self._push_future
-        for entry in survivors:
-            push(entry)
 
     # -- statistics -------------------------------------------------------
     def note_coalesced_burst(self, events_saved: int = 0) -> None:
@@ -591,13 +420,13 @@ class Environment:
         # flushed once on exit: a local increment is several times
         # cheaper than a per-event attribute read-modify-write.  The
         # two hottest variants additionally inline _pop_entry's
-        # due-head and buffered-future cases; the urgent deque (process
+        # due-head and future-heap cases; the urgent deque (process
         # starts/interrupts, comparatively rare) falls back to the
         # method, which re-derives the full three-way minimum.
         pop = self._pop_entry
         due = self._due
         urgent = self._due_urgent
-        refill = self._refill_nf
+        future = self._future
         n = 0
         if stop_event is not None:
             try:
@@ -612,29 +441,14 @@ class Environment:
                                 f"requested stop event fired: {stop_event!r}"
                             )
                     else:
-                        entry = self._nf
                         if due:
-                            head = due[0]
-                            if entry is None or head < entry:
+                            entry = due[0]
+                            if future and future[0] < entry:
+                                entry = heappop(future)
+                            else:
                                 due.popleft()
-                                entry = head
-                            elif (
-                                not self._ring_count
-                                and not self._far
-                                and self._cur_pos >= len(self._cur)
-                            ):
-                                self._nf = None
-                            else:
-                                refill()
-                        elif entry is not None:
-                            if (
-                                not self._ring_count
-                                and not self._far
-                                and self._cur_pos >= len(self._cur)
-                            ):
-                                self._nf = None
-                            else:
-                                refill()
+                        elif future:
+                            entry = heappop(future)
                         else:
                             raise RuntimeError(
                                 "simulation ran out of events before the "
@@ -657,29 +471,14 @@ class Environment:
                         if entry is None:  # pragma: no cover - defensive
                             return None
                     else:
-                        entry = self._nf
                         if due:
-                            head = due[0]
-                            if entry is None or head < entry:
+                            entry = due[0]
+                            if future and future[0] < entry:
+                                entry = heappop(future)
+                            else:
                                 due.popleft()
-                                entry = head
-                            elif (
-                                not self._ring_count
-                                and not self._far
-                                and self._cur_pos >= len(self._cur)
-                            ):
-                                self._nf = None
-                            else:
-                                refill()
-                        elif entry is not None:
-                            if (
-                                not self._ring_count
-                                and not self._far
-                                and self._cur_pos >= len(self._cur)
-                            ):
-                                self._nf = None
-                            else:
-                                refill()
+                        elif future:
+                            entry = heappop(future)
                         else:
                             return None
                         self._depth -= 1

@@ -11,6 +11,7 @@ it, which is how errors propagate through simulated daemons.
 from __future__ import annotations
 
 import typing as _t
+from heapq import heappush
 
 if _t.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.engine import Environment
@@ -160,12 +161,8 @@ class Timeout(Event):
         env._seq += 1
         if delay == 0.0:
             env._due.append((env._now, 1, env._seq, self))
-        elif env._nf is None:
-            # Fast path: no other future entry pending, so this one is
-            # trivially the minimum (common at low multiprogramming).
-            env._nf = (env._now + delay, 1, env._seq, self)
         else:
-            env._push_future((env._now + delay, 1, env._seq, self))
+            heappush(env._future, (env._now + delay, 1, env._seq, self))
         d = env._depth + 1
         env._depth = d
         if d > env._depth_hw:
@@ -274,7 +271,7 @@ class Timer(Event):
             if deadline == env._now:
                 env._due.append((deadline, 1, env._seq, self))
             else:
-                env._push_future((deadline, 1, env._seq, self))
+                heappush(env._future, (deadline, 1, env._seq, self))
             d = env._depth + 1
             env._depth = d
             if d > env._depth_hw:
@@ -302,8 +299,8 @@ class Timer(Event):
             # A stale entry drained on its own; it no longer counts
             # toward the compaction trigger.  (Clamped: entries that
             # sat in the due deque survive compactions, which only
-            # sweep the future structures, so the counter may already
-            # have been reset.)
+            # sweep the future heap, so the counter may already have
+            # been reset.)
             env._stale_timers -= 1
 
     def __repr__(self) -> str:

@@ -20,7 +20,7 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis.determinism import fig4_point_trace_hash
-from repro.cluster.config import ClusterConfig
+from repro.cluster.config import SEAMS, ClusterConfig
 from repro.disk import DiskModel, QueuedDiskModel
 from repro.sim import Environment
 from tests.conftest import make_cluster, run_app
@@ -34,6 +34,13 @@ RATE = 20e6
 #: them bit for bit (the refactor may not move a single event).
 GOLDEN_MECH_READ_HASH = "17999720988df8807faaae9a5137f1bc"
 GOLDEN_MECH_WRITE_HASH = "c56fb89176c984016ecf282dfb455edb"
+
+#: Schedule digests of the same two points under the fluid network
+#: and the queued disk model — the timer-heavy seams, whose re-armed
+#: deadlines exercise the engine's future queue hardest.  Captured on
+#: the calendar-wheel queue that the single future heap replaced.
+GOLDEN_FLUID_QUEUED_READ_HASH = "cb3e871462e00d43c7358e59e0c6f3d1"
+GOLDEN_FLUID_QUEUED_WRITE_HASH = "014bf473f23998245e0878fe4b7d3b1b"
 
 
 def _xfer(nbytes: int) -> float:
@@ -277,6 +284,19 @@ def test_mech_trace_hash_bit_identical_to_seed(monkeypatch):
     assert (
         fig4_point_trace_hash(d=65536, mode="write", seed=7)
         == GOLDEN_MECH_WRITE_HASH
+    )
+
+
+def test_fluid_queued_trace_hash_matches_golden(monkeypatch):
+    """Fluid + queued schedules are pinned bit for bit as well."""
+    for seam in SEAMS:
+        monkeypatch.delenv(seam.env, raising=False)
+    monkeypatch.setenv("REPRO_NET_MODEL", "fluid")
+    monkeypatch.setenv("REPRO_DISK_MODEL", "queued")
+    assert fig4_point_trace_hash(seed=4242) == GOLDEN_FLUID_QUEUED_READ_HASH
+    assert (
+        fig4_point_trace_hash(d=65536, mode="write", seed=7)
+        == GOLDEN_FLUID_QUEUED_WRITE_HASH
     )
 
 

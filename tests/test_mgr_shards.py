@@ -62,29 +62,6 @@ def test_owning_mgr_shard_inverts_id_allocation():
                 )
 
 
-# -- config seam ----------------------------------------------------------------
-
-
-def test_mgr_shards_default_is_one(monkeypatch):
-    monkeypatch.delenv("REPRO_MGR_SHARDS", raising=False)
-    assert ClusterConfig().resolved().mgr_shards == 1
-
-
-def test_mgr_shards_explicit_wins_over_env(monkeypatch):
-    monkeypatch.setenv("REPRO_MGR_SHARDS", "8")
-    assert ClusterConfig(mgr_shards=2).resolved().mgr_shards == 2
-
-
-def test_mgr_shards_env_var(monkeypatch):
-    monkeypatch.setenv("REPRO_MGR_SHARDS", "4")
-    assert ClusterConfig().resolved().mgr_shards == 4
-
-
-def test_mgr_shards_validation():
-    with pytest.raises(ValueError):
-        ClusterConfig(mgr_shards=0)
-
-
 # -- cluster assembly -------------------------------------------------------------
 
 

@@ -1,132 +1,8 @@
-"""Tests for the resource monitor and the reproduction validator."""
+"""Tests for the scheduler counters, the daemon monitor and the
+reproduction validator."""
 
-import math
-
-import pytest
-
-from repro.metrics.monitor import ResourceMonitor
 from repro.sim import Environment
 from tests.conftest import make_cluster
-
-
-def test_monitor_validation():
-    env = Environment()
-    with pytest.raises(ValueError):
-        ResourceMonitor(env, interval_s=0)
-
-
-def test_monitor_samples_at_interval():
-    env = Environment()
-    monitor = ResourceMonitor(env, interval_s=1.0)
-    counter = {"v": 0}
-    monitor.track("v", lambda: counter["v"])
-    monitor.start()
-
-    def workload(env):
-        for _ in range(5):
-            counter["v"] += 10
-            yield env.timeout(1.0)
-
-    env.process(workload(env))
-    env.run(until=5.5)
-    assert len(monitor.times) == 6  # t = 0..5
-    assert monitor.series("v")[0] == 0
-    assert monitor.peak("v") == 50
-    assert monitor.mean("v") > 0
-    assert monitor.time_above("v", 25) == 3.0  # samples at 30, 40, 50
-
-
-def test_monitor_duplicate_probe_rejected():
-    env = Environment()
-    monitor = ResourceMonitor(env)
-    monitor.track("a", lambda: 0)
-    with pytest.raises(ValueError):
-        monitor.track("a", lambda: 1)
-
-
-def test_monitor_double_start_rejected():
-    env = Environment()
-    monitor = ResourceMonitor(env)
-    monitor.start()
-    with pytest.raises(RuntimeError):
-        monitor.start()
-
-
-def test_monitor_late_probe_backfills_nan():
-    env = Environment()
-    monitor = ResourceMonitor(env, interval_s=1.0)
-    monitor.track("early", lambda: 1.0)
-    monitor.start()
-
-    def add_late(env):
-        yield env.timeout(2.5)
-        monitor.track("late", lambda: 2.0)
-
-    env.process(add_late(env))
-    env.run(until=5)
-    assert len(monitor.series("late")) == len(monitor.series("early"))
-    assert math.isnan(monitor.series("late")[0])
-    assert monitor.peak("late") == 2.0
-
-
-def test_monitor_stop():
-    env = Environment()
-    monitor = ResourceMonitor(env, interval_s=1.0)
-    monitor.track("x", lambda: 1)
-    monitor.start()
-
-    def stopper(env):
-        yield env.timeout(2.5)
-        monitor.stop()
-
-    env.process(stopper(env))
-    env.run(until=10)
-    assert len(monitor.times) == 3  # t = 0, 1, 2 (stopped before 3)
-
-
-def test_monitor_table_and_sparkline():
-    env = Environment()
-    monitor = ResourceMonitor(env, interval_s=0.5)
-    value = {"v": 0.0}
-    monitor.track("load", lambda: value["v"])
-    monitor.start()
-
-    def workload(env):
-        for i in range(6):
-            value["v"] = float(i)
-            yield env.timeout(0.5)
-
-    env.process(workload(env))
-    env.run(until=3)
-    table = monitor.table()
-    assert "load" in table and "t(s)" in table
-    assert len(monitor.sparkline("load")) == len(monitor.times)
-
-
-def test_monitor_empty_table():
-    env = Environment()
-    assert ResourceMonitor(env).table() == "(no samples)"
-
-
-def test_monitor_on_real_cluster_cache_occupancy():
-    """Watch the cache fill during a workload."""
-    cluster = make_cluster(compute_nodes=1, iod_nodes=1, cache_blocks=32)
-    module = cluster.cache_modules["node0"]
-    monitor = ResourceMonitor(cluster.env, interval_s=0.005)
-    monitor.track("resident", lambda: module.manager.n_resident)
-    monitor.track("dirty", lambda: module.manager.n_dirty)
-    monitor.start()
-    client = cluster.client("node0")
-
-    def app(env):
-        f = yield from client.open("/fill")
-        for i in range(16):
-            yield from client.read(f, i * 16384, 16384)
-
-    proc = cluster.env.process(app(cluster.env))
-    cluster.env.run(until=proc)
-    assert monitor.peak("resident") > 0
-    assert monitor.peak("resident") <= 32
 
 
 # -- barrier/lookahead scheduler counters ------------------------------------

@@ -1,6 +1,10 @@
 """Unit tests for the discrete-event engine core."""
 
+import bisect
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.sim import Environment, Event, Interrupt, ProcessKilled, Timeout
 from repro.sim.engine import EmptySchedule
@@ -485,16 +489,15 @@ def test_deterministic_replay():
 
 
 # ---------------------------------------------------------------------------
-# Event-queue fast path (timer wheel + far heap + compaction, DESIGN.md §14)
+# Event queue: due deques + future heap + compaction (DESIGN.md §14)
 # ---------------------------------------------------------------------------
 
 
 def test_randomized_timeout_storm_fires_in_order():
-    """Differential check of the wheel/deque/heap queue against a
-    plain sorted reference: same-priority events must fire in exact
+    """Differential check of the deque/heap queue against a plain
+    sorted reference: same-priority events must fire in exact
     (time, creation-order) sequence no matter which structure each
-    entry landed in (due deque, current bucket, calendar ring, or far
-    heap)."""
+    entry landed in (due deque or future heap)."""
     import random
 
     rng = random.Random(0xC0FFEE)
@@ -509,8 +512,8 @@ def test_randomized_timeout_storm_fires_in_order():
                 delay = rng.choice(
                     (
                         0.0,  # due deque
-                        rng.random() * 0.01,  # calendar ring
-                        rng.random() * 5.0,  # far heap
+                        rng.random() * 0.01,  # near future
+                        rng.random() * 5.0,  # far future
                         round(rng.random(), 2),  # deliberate ties
                     )
                 )
@@ -575,3 +578,247 @@ def test_compaction_preserves_the_live_deadline():
     assert env.sched_stats()["timer_compactions"] > 0
     env.run(until=5.0)
     assert fired == survivor
+
+
+class _QueueModel:
+    """Reference model of the scheduler: one sorted list of
+    ``(time, priority, seq, payload)`` entries plus the bookkeeping
+    :meth:`Environment.sched_stats` reports.
+
+    It mirrors the engine's rules without its data structures: every
+    push takes the next sequence number, stale timer entries are
+    counted as :class:`~repro.sim.Timer` counts them, and a compaction
+    (≥ 64 stale and stale × 2 ≥ future entries) drops every stale
+    timer entry that was pushed for a later instant.
+    """
+
+    def __init__(self, n_timers):
+        self.now = 0.0
+        self.seq = 0
+        self.pending = []  # sorted (time, prio, seq, payload)
+        self.log = []
+        self.stale = 0
+        self.timers = [
+            {"armed": False, "deadline": 0.0, "queued": []}
+            for _ in range(n_timers)
+        ]
+        self.stats = dict.fromkeys(
+            (
+                "events_processed",
+                "queue_depth",
+                "queue_depth_hw",
+                "timers_cancelled",
+                "timer_entries_purged",
+                "timer_compactions",
+            ),
+            0,
+        )
+
+    def push(self, time, prio, payload, future):
+        # ``future``: the entry went to the heap, not a due deque, so
+        # compactions may sweep it.
+        self.seq += 1
+        bisect.insort(self.pending, (time, prio, self.seq, payload + (future,)))
+        self.stats["queue_depth"] += 1
+        self.stats["queue_depth_hw"] = max(
+            self.stats["queue_depth_hw"], self.stats["queue_depth"]
+        )
+
+    def later(self, delay, payload):
+        # A zero delay lands in the due deque, like Environment.timeout.
+        self.push(self.now + delay, 1, payload, delay != 0.0)
+
+    def start(self, tag):
+        self.push(self.now, 0, ("start", tag), False)
+
+    def note_stale(self):
+        self.stale += 1
+        n_future = sum(1 for e in self.pending if e[3][-1])
+        if self.stale >= 64 and self.stale * 2 >= n_future:
+            keep = []
+            for entry in self.pending:
+                payload = entry[3]
+                if payload[0] == "timer" and payload[-1]:
+                    t = self.timers[payload[1]]
+                    if not (t["armed"] and t["deadline"] == entry[0]):
+                        t["queued"].remove(entry[0])
+                        continue
+                keep.append(entry)
+            dropped = len(self.pending) - len(keep)
+            self.pending = keep
+            self.stats["queue_depth"] -= dropped
+            self.stats["timer_entries_purged"] += dropped
+            self.stats["timer_compactions"] += 1
+            self.stale = 0
+
+    def arm_at(self, i, deadline):
+        t = self.timers[i]
+        was_live = t["armed"] and t["deadline"] == deadline
+        if t["armed"] and t["deadline"] != deadline and t["deadline"] in t["queued"]:
+            self.note_stale()
+        t["armed"] = True
+        t["deadline"] = deadline
+        if deadline in t["queued"]:
+            if not was_live and self.stale > 0:
+                self.stale -= 1
+        else:
+            t["queued"].append(deadline)
+            self.push(deadline, 1, ("timer", i), deadline != self.now)
+
+    def cancel(self, i):
+        t = self.timers[i]
+        if t["armed"]:
+            self.stats["timers_cancelled"] += 1
+            if t["deadline"] in t["queued"]:
+                self.note_stale()
+        t["armed"] = False
+
+    def run(self, until=None):
+        while self.pending and (until is None or self.pending[0][0] <= until):
+            time, _prio, _seq, payload = self.pending.pop(0)
+            self.now = time
+            self.stats["queue_depth"] -= 1
+            self.stats["events_processed"] += 1
+            kind = payload[0]
+            if kind == "timeout":
+                self.log.append(("timeout", payload[1], time))
+            elif kind == "chain":
+                # Its callback starts a process, then a zero-delay
+                # timeout: an urgent and a normal due entry that tie on
+                # time with whatever the heap still holds at ``time``.
+                self.push(time, 0, ("start", payload[1]), False)
+                self.push(time, 1, ("timeout", payload[1]), False)
+            elif kind == "start":
+                self.log.append(("start", payload[1], time))
+                # The finished process succeeds its own event.
+                self.push(time, 1, ("done",), False)
+            elif kind == "timer":
+                t = self.timers[payload[1]]
+                t["queued"].remove(time)
+                if t["armed"] and t["deadline"] == time:
+                    t["armed"] = False
+                    self.log.append(("timer", payload[1], time))
+                elif self.stale > 0:
+                    self.stale -= 1
+        # KNOWN DEFECT, mirrored so this test checks the queue and not
+        # the clock rule: ``Environment.run(until=t)`` moves the clock
+        # to ``t`` only when an entry lies beyond it, so a drained queue
+        # leaves it at the last event, while ``run_horizon`` always
+        # moves it to the horizon.  Making the two agree (ROADMAP.md,
+        # simulator ledger) changes the engine and this line together.
+        if until is not None and self.pending:
+            self.now = until
+
+
+#: Dyadic delays (exact in binary floating point), so equal deadlines
+#: really tie: zero, sub-millisecond "near", multi-second "far", and a
+#: coarse grid that collides often.
+_delay = st.one_of(
+    st.just(0.0),
+    st.integers(1, 64).map(lambda k: k / 65536),
+    st.integers(1, 512).map(lambda k: k / 16),
+    st.integers(1, 8).map(lambda k: k / 4),
+)
+_N_TIMERS = 3
+_queue_op = st.one_of(
+    st.tuples(st.just("timeout"), _delay),
+    # ``n`` timeouts at once: a heap large enough that the compaction
+    # ratio (stale × 2 ≥ future entries) decides whether one runs.
+    st.tuples(st.just("burst"), st.integers(1, 200), _delay),
+    st.tuples(st.just("chain"), _delay),
+    st.tuples(st.just("arm"), st.integers(0, _N_TIMERS - 1), _delay),
+    st.tuples(st.just("cancel"), st.integers(0, _N_TIMERS - 1)),
+    # Re-arm one timer to ``k`` successive deadlines: enough stale
+    # entries to force compactions.
+    st.tuples(
+        st.just("churn"),
+        st.integers(0, _N_TIMERS - 1),
+        st.one_of(st.integers(1, 8), st.integers(60, 140)),
+        _delay,
+    ),
+    st.tuples(st.just("start")),
+    st.tuples(st.just("run"), _delay),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ops=st.lists(_queue_op, max_size=60))
+# At t = 0.25 the chain's urgent process start and zero-delay timeout
+# tie on time with the later-queued heap timeout; priority, then seq,
+# must decide, in both the peek/pop loop and the fast loop.
+@example(ops=[("chain", 0.25), ("timeout", 0.25), ("run", 0.5)])
+@example(ops=[("chain", 0.25), ("timeout", 0.25)])
+def test_queue_matches_sorted_reference_model(ops):
+    """Interleaved timeouts, timer arm/cancel/re-arm churn, process
+    starts (also from inside the run, where urgent and due heads tie
+    with heap heads) and ``run(until=t)`` stops fire in exactly the
+    reference model's ``(time, priority, seq)`` order, with the same
+    scheduler statistics at every stop."""
+    env = Environment()
+    model = _QueueModel(_N_TIMERS)
+    log = []
+
+    def on_fire(i):
+        return lambda _t: log.append(("timer", i, env.now))
+
+    timers = [env.timer(on_fire(i)) for i in range(_N_TIMERS)]
+
+    def body(tag):
+        log.append(("start", tag, env.now))
+        return
+        yield  # pragma: no cover - makes this a generator
+
+    def check():
+        assert log == model.log
+        assert env.now == model.now
+        stats = env.sched_stats()
+        assert {k: stats[k] for k in model.stats} == model.stats
+
+    def timeout(delay, tag):
+        ev = env.timeout(delay)
+        ev.callbacks.append(
+            lambda _e: log.append(("timeout", tag, env.now))
+        )
+
+    def chain(_e, tag):
+        env.process(body(tag))
+        timeout(0.0, tag)
+
+    for tag, op in enumerate(ops):
+        kind = op[0]
+        if kind == "timeout":
+            timeout(op[1], tag)
+            model.later(op[1], ("timeout", tag))
+        elif kind == "burst":
+            _kind, n, delay = op
+            for j in range(n):
+                timeout(delay + j / 64, (tag, j))
+                model.later(delay + j / 64, ("timeout", (tag, j)))
+        elif kind == "chain":
+            env.timeout(op[1]).callbacks.append(
+                lambda e, tag=tag: chain(e, tag)
+            )
+            model.later(op[1], ("chain", tag))
+        elif kind == "arm":
+            timers[op[1]].arm_at(env.now + op[2])
+            model.arm_at(op[1], model.now + op[2])
+        elif kind == "cancel":
+            timers[op[1]].cancel()
+            model.cancel(op[1])
+        elif kind == "churn":
+            _kind, i, k, delay = op
+            for j in range(k):
+                timers[i].arm_at(env.now + delay + j / 16)
+                model.arm_at(i, model.now + delay + j / 16)
+        elif kind == "start":
+            env.process(body(tag))
+            model.start(tag)
+        else:
+            env.run(until=env.now + op[1])
+            model.run(until=model.now + op[1])
+            check()
+    env.run()
+    model.run()
+    check()
+    assert env.sched_stats()["queue_depth"] == 0
+
